@@ -22,9 +22,9 @@ rejection (the reference m/p̄ sweep range dips into that territory).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .demand import DemandSpec, IsoElasticDemand, LinearDemand
+from .demand import DemandSpec, DivergentSurplusError, demand_family
 from .pricing import MarketParams
 from .uncertainty import UncertaintyModel
 
@@ -78,17 +78,29 @@ class CalibrationInput:
             raise ValueError(f"error sd theta must be positive, got {self.theta}")
 
 
+def _preset(table: dict, name: str, what: str):
+    try:
+        return table[str(name).lower()]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {', '.join(table)}") from None
+
+
+def region_price(region: str) -> float:
+    """Regular price of a region preset in REGION_PRICES."""
+    return _preset(REGION_PRICES, region, "region")
+
+
 def ixp_input(name: str, beta: float = 0.5, gamma: float = 1.25, alpha_bar: float = 2.0,
               d_bar: float = None) -> CalibrationInput:
     """CalibrationInput for a bundled IXP; d̄ defaults to the 0.9*peak proxy."""
-    stats = IXP_STATS[name.lower()]
+    stats = _preset(IXP_STATS, name, "IXP")
     if d_bar is None:
         d_bar = PEAK_DEMAND_PROXY * stats["peak"]
         source = "0.9*peak proxy"
     else:
         source = "explicit"
     return CalibrationInput(
-        p_bar=REGION_PRICES[stats["region"]],
+        p_bar=region_price(stats["region"]),
         d_bar=d_bar,
         beta=beta,
         gamma=gamma,
@@ -99,54 +111,37 @@ def ixp_input(name: str, beta: float = 0.5, gamma: float = 1.25, alpha_bar: floa
     )
 
 
-def derive_regular_cost(inp: CalibrationInput, kind: str = "iso") -> float:
+def derive_regular_cost(inp: CalibrationInput) -> float:
     """Regular provision cost implied by a profit-maximizing regular price.
 
     The cost is pinned down by the iso-elastic first-order condition and
-    is the same number for both demand families (the linear family's
+    is the same number for every demand family (the linear family's
     sensitivity is then chosen to be consistent with it).
     """
-    if kind not in ("iso", "linear"):
-        raise ValueError(f"kind must be 'iso' or 'linear', got {kind!r}")
     r_bar = inp.p_bar * (1.0 - 1.0 / inp.alpha_bar)
     if not r_bar > 0:
         raise ValueError("derived regular cost is non-positive")
     return r_bar
 
 
-def derive_linear_alpha_bar(inp: CalibrationInput) -> float:
-    """Aggregate linear sensitivity d̄ / (p̄ - r̄) consistent with the iso-derived cost."""
-    r_bar = derive_regular_cost(inp)
-    if not inp.p_bar > r_bar:
-        raise ValueError(f"regular price {inp.p_bar} must exceed the derived cost {r_bar}")
-    return inp.d_bar / (inp.p_bar - r_bar)
-
-
 def derive_spot_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
-    """Spot (elastic) demand curve pinned to beta*d̄ at the regular price."""
-    elastic = inp.beta * inp.d_bar
-    if kind == "iso":
-        alpha = inp.gamma * inp.alpha_bar
-        if alpha <= 2.0:
-            warnings.warn(
-                f"spot elasticity {alpha} <= 2: consumer surplus is undefined "
-                "for this curve (profit metrics remain valid)"
-            )
-        return IsoElasticDemand(v=elastic * inp.p_bar**alpha, alpha=alpha)
-    if kind == "linear":
-        alpha = inp.beta * inp.gamma * derive_linear_alpha_bar(inp)
-        return LinearDemand(v=elastic + alpha * inp.p_bar, alpha=alpha)
-    raise ValueError(f"kind must be 'iso' or 'linear', got {kind!r}")
+    """Spot (elastic) demand curve: beta*d̄ at the regular price, elasticity gamma*ᾱ there."""
+    spot = demand_family(kind).calibrated(
+        inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp),
+        share=inp.beta, relative=inp.gamma,
+    )
+    try:
+        spot.consumer_surplus(inp.p_bar)
+    except DivergentSurplusError as exc:
+        warnings.warn(f"{exc}; profit metrics remain valid")
+    return spot
 
 
 def derive_regular_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
-    """Aggregate demand curve passing through (p̄, d̄)."""
-    if kind == "iso":
-        return IsoElasticDemand(v=inp.d_bar * inp.p_bar**inp.alpha_bar, alpha=inp.alpha_bar)
-    if kind == "linear":
-        alpha = derive_linear_alpha_bar(inp)
-        return LinearDemand(v=inp.d_bar + alpha * inp.p_bar, alpha=alpha)
-    raise ValueError(f"kind must be 'iso' or 'linear', got {kind!r}")
+    """Aggregate demand curve passing through (p̄, d̄) with elasticity ᾱ there."""
+    return demand_family(kind).calibrated(
+        inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp), share=1.0, relative=1.0
+    )
 
 
 def derive_capacity_and_noise(inp: CalibrationInput) -> tuple[float, UncertaintyModel]:
@@ -167,7 +162,6 @@ class CalibratedScenario:
     uncertainty: UncertaintyModel
     market: MarketParams
     regular_demand: DemandSpec
-    kind: str
     penalty_assumption_ok: bool = True
 
 
@@ -180,7 +174,7 @@ def calibrate(
     """Full scenario derivation under the typical-setting cost conventions."""
     if not r_ratio > 0 or not m_ratio > 0:
         raise ValueError("cost and penalty ratios must be positive")
-    r_bar = derive_regular_cost(inp, kind)
+    r_bar = derive_regular_cost(inp)
     spot = derive_spot_demand(inp, kind)
     regular = derive_regular_demand(inp, kind)
     capacity, noise = derive_capacity_and_noise(inp)
@@ -188,15 +182,13 @@ def calibrate(
 
     # the below-capacity guarantee at the optimum needs m above the price
     # at which spot demand fills the capacity
-    penalty_ok = True
-    if not (isinstance(spot, LinearDemand) and capacity >= spot.v):
-        p_cap = spot.inverse(capacity)
-        if m <= p_cap:
-            penalty_ok = False
-            warnings.warn(
-                f"penalty m={m} does not exceed the capacity price {p_cap:.4g}; "
-                "expected demand may exceed capacity at the optimum"
-            )
+    p_cap = spot.capacity_price(capacity)
+    penalty_ok = m > p_cap
+    if not penalty_ok:
+        warnings.warn(
+            f"penalty m={m} does not exceed the capacity price {p_cap:.4g}; "
+            "expected demand may exceed capacity at the optimum"
+        )
 
     market = MarketParams(
         r=r_ratio * r_bar, m=m, capacity=capacity, r_bar=r_bar, p_bar=inp.p_bar
@@ -206,10 +198,5 @@ def calibrate(
         uncertainty=noise,
         market=market,
         regular_demand=regular,
-        kind=kind,
         penalty_assumption_ok=penalty_ok,
     )
-
-
-def with_beta(inp: CalibrationInput, beta: float) -> CalibrationInput:
-    return replace(inp, beta=beta)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibration, mdp, pricing, traffic, welfare
+from .demand import demand_family
 from .simulate import SimConfig, compare_to_analytic, simulate_policy
 
 DOLLAR_NOTE = "dollars = price($/Mbps) * demand(Gbps) * 1000, monthly 95th-percentile billing"
@@ -38,30 +39,14 @@ SWEEP_DEFAULTS = {
 
 @dataclass
 class Scenario:
+    """A calibration input (beta set per grid point) plus the beta grid, family and cost ratios."""
+
     label: str
-    p_bar: float
-    d_bar: float
-    mu: float
-    theta: float
+    inp: calibration.CalibrationInput
     betas: list
-    gamma: float
+    kind: str
     r_ratio: float
     m_ratio: float
-    kind: str
-    alpha_bar: float
-    demand_source: str
-
-    def input_for(self, beta: float) -> calibration.CalibrationInput:
-        return calibration.CalibrationInput(
-            p_bar=self.p_bar,
-            d_bar=self.d_bar,
-            beta=beta,
-            gamma=self.gamma,
-            alpha_bar=self.alpha_bar,
-            mu=self.mu,
-            theta=self.theta,
-            demand_source=self.demand_source,
-        )
 
 
 def load_scenario(source) -> Scenario:
@@ -72,38 +57,34 @@ def load_scenario(source) -> Scenario:
         with open(source) as fh:
             obj = json.load(fh)
 
-    ixp = obj.get("ixp")
-    if ixp:
-        stats = calibration.IXP_STATS[ixp.lower()]
-        obj.setdefault("region", stats["region"])
-        obj.setdefault("mu", stats["mu"])
-        obj.setdefault("theta", stats["theta"])
-        obj.setdefault("label", ixp.upper())
+    kind = obj.get("kind", "iso")
+    demand_family(kind)  # reject an unknown family before anything is solved
 
+    ixp = obj.get("ixp")
+    fields = {"gamma": float(obj.get("gamma", 1.25)), "alpha_bar": float(obj.get("alpha_bar", 2.0))}
     if obj.get("p_bar") is not None:
-        p_bar = float(obj["p_bar"])
+        fields["p_bar"] = float(obj["p_bar"])
     elif obj.get("region"):
-        p_bar = calibration.REGION_PRICES[obj["region"].lower()]
-    else:
+        fields["p_bar"] = calibration.region_price(obj["region"])
+    elif not ixp:
         raise ValueError("scenario needs a region preset or an explicit p_bar")
 
     sources = [k for k in ("trace", "d_bar") if obj.get(k) is not None]
-    if ixp and not sources:
-        d_bar = calibration.PEAK_DEMAND_PROXY * calibration.IXP_STATS[ixp.lower()]["peak"]
-        demand_source = "0.9*peak proxy"
-        mu, theta = float(obj["mu"]), float(obj["theta"])
-    elif len(sources) != 1:
+    if len(sources) > 1 or not (sources or ixp):
         raise ValueError("scenario needs exactly one demand-scale source (trace or d_bar)")
-    elif sources[0] == "trace":
+    for key in ("mu", "theta"):
+        if obj.get(key) is not None:
+            fields[key] = float(obj[key])
+    if sources == ["trace"]:
         series = traffic.load_series(obj["trace"])
-        d_bar = traffic.percentile_95(series)
         report = traffic.prediction_errors(series)
-        mu, theta = report.residual_mean, report.residual_sd
-        demand_source = f"trace p95 ({obj['trace']})"
-    else:
-        d_bar = float(obj["d_bar"])
-        mu, theta = float(obj.get("mu", 0.0)), float(obj.get("theta", 1.0))
-        demand_source = "explicit"
+        fields.update(d_bar=traffic.percentile_95(series), mu=report.residual_mean,
+                      theta=report.residual_sd, demand_source=f"trace p95 ({obj['trace']})")
+    elif sources == ["d_bar"]:
+        fields.update(d_bar=float(obj["d_bar"]), demand_source="explicit")
+    # an IXP supplies its region price, noise and the 0.9*peak demand proxy
+    inp = (replace(calibration.ixp_input(ixp), **fields) if ixp
+           else calibration.CalibrationInput(**fields))
 
     betas = obj.get("beta", DEFAULT_BETAS)
     if not isinstance(betas, (list, tuple)):
@@ -114,45 +95,41 @@ def load_scenario(source) -> Scenario:
         raise ValueError("cost and penalty ratios must be positive")
 
     return Scenario(
-        label=obj.get("label", "scenario"),
-        p_bar=p_bar,
-        d_bar=d_bar,
-        mu=mu,
-        theta=theta,
+        label=obj.get("label", ixp.upper() if ixp else "scenario"),
+        inp=inp,
         betas=[float(b) for b in betas],
-        gamma=float(obj.get("gamma", 1.25)),
+        kind=kind,
         r_ratio=r_ratio,
         m_ratio=m_ratio,
-        kind=obj.get("kind", "iso"),
-        alpha_bar=float(obj.get("alpha_bar", 2.0)),
-        demand_source=demand_source,
     )
 
 
-def _solve_point(scn: Scenario, beta: float, r_ratio=None, m_ratio=None, gamma=None) -> dict:
+def _calibrate_point(scn: Scenario, beta: float, gamma: float = None, **ratios):
+    """(point, calibration) of one grid point; gamma, r_ratio, m_ratio override the scenario."""
+    inp = replace(scn.inp, beta=beta, gamma=scn.inp.gamma if gamma is None else gamma)
+    point = replace(scn, inp=inp, **ratios)
+    return point, calibration.calibrate(
+        inp, kind=point.kind, r_ratio=point.r_ratio, m_ratio=point.m_ratio
+    )
+
+
+def _solve_point(scn: Scenario, beta: float, **overrides) -> dict:
     """Calibrate and solve one grid point; returns a flat result row."""
-    inp = scn.input_for(beta)
-    if gamma is not None:
-        inp = replace(inp, gamma=gamma)
-    scen = calibration.calibrate(
-        inp,
-        kind=scn.kind,
-        r_ratio=scn.r_ratio if r_ratio is None else r_ratio,
-        m_ratio=scn.m_ratio if m_ratio is None else m_ratio,
-    )
+    point, scen = _calibrate_point(scn, beta, **overrides)
     sol = pricing.optimize_price(scen.demand, scen.uncertainty, scen.market)
     rep = welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
+    p_bar = point.inp.p_bar
     row = {
-        "label": scn.label,
-        "kind": scn.kind,
+        "label": point.label,
+        "kind": point.kind,
         "beta": beta,
-        "gamma": inp.gamma,
-        "r_ratio": scn.r_ratio if r_ratio is None else r_ratio,
-        "m_ratio": scn.m_ratio if m_ratio is None else m_ratio,
-        "p_bar": scn.p_bar,
+        "gamma": point.inp.gamma,
+        "r_ratio": point.r_ratio,
+        "m_ratio": point.m_ratio,
+        "p_bar": p_bar,
         "p_star": sol.p_star,
-        "price_ratio": sol.p_star / scn.p_bar,
-        "discount_pct": 100.0 * (1.0 - sol.p_star / scn.p_bar),
+        "price_ratio": sol.p_star / p_bar,
+        "discount_pct": 100.0 * (1.0 - sol.p_star / p_bar),
         "overflow_probability": sol.overflow_probability,
         "expected_profit": sol.expected_profit,
         "surplus_spot": rep.surplus_spot,
@@ -164,7 +141,7 @@ def _solve_point(scn: Scenario, beta: float, r_ratio=None, m_ratio=None, gamma=N
         "welfare_spot": rep.welfare_spot,
         "welfare_regular": rep.welfare_regular,
         "penalty_assumption_ok": scen.penalty_assumption_ok,
-        "demand_source": scn.demand_source,
+        "demand_source": point.inp.demand_source,
     }
     return row
 
@@ -181,14 +158,13 @@ STATIC_COLUMNS = [
 def cmd_calibrate(scn: Scenario):
     rows = []
     for beta in scn.betas:
-        inp = scn.input_for(beta)
-        scen = calibration.calibrate(inp, kind=scn.kind, r_ratio=scn.r_ratio, m_ratio=scn.m_ratio)
+        _, scen = _calibrate_point(scn, beta)
         rows.append({
             "label": scn.label,
             "kind": scn.kind,
             "beta": beta,
-            "p_bar": scn.p_bar,
-            "d_bar": scn.d_bar,
+            "p_bar": scn.inp.p_bar,
+            "d_bar": scn.inp.d_bar,
             "r_bar": scen.market.r_bar,
             "r": scen.market.r,
             "m": scen.market.m,
@@ -198,7 +174,7 @@ def cmd_calibrate(scn: Scenario):
             "mu_scaled": scen.uncertainty.mu,
             "theta_scaled": scen.uncertainty.theta,
             "penalty_assumption_ok": scen.penalty_assumption_ok,
-            "demand_source": scn.demand_source,
+            "demand_source": scn.inp.demand_source,
         })
     columns = list(rows[0].keys())
     return {"command": "calibrate", "dollar_note": DOLLAR_NOTE}, rows, columns
@@ -216,24 +192,15 @@ def cmd_sweep(scn: Scenario, param: str, values=None):
     values = SWEEP_DEFAULTS[param] if values is None else list(values)
     rows = []
     for value in values:
-        betas = [value] if param == "beta" else scn.betas
+        betas, overrides = ([value], {}) if param == "beta" else (scn.betas, {param: value})
         for beta in betas:
-            kwargs = {}
-            if param == "r_ratio":
-                kwargs["r_ratio"] = value
-            elif param == "m_ratio":
-                kwargs["m_ratio"] = value
-            elif param == "gamma":
-                kwargs["gamma"] = value
             try:
-                row = _solve_point(scn, beta, **kwargs)
+                row = _solve_point(scn, beta, **overrides)
             except (ValueError, RuntimeError) as exc:
                 row = {"label": scn.label, "kind": scn.kind, "beta": beta,
                        "sweep_param": param, "sweep_value": value, "error": str(exc)}
-                rows.append(row)
-                continue
-            row["sweep_param"] = param
-            row["sweep_value"] = value
+            else:
+                row.update(sweep_param=param, sweep_value=value)
             rows.append(row)
 
     summary = {}
@@ -261,7 +228,7 @@ def cmd_worst_case(scn: Scenario):
         row["sweep_param"] = "worst_case"
         rows.append(row)
         checks = {
-            "spot_below_regular": row["p_star"] < scn.p_bar,
+            "spot_below_regular": row["p_star"] < scn.inp.p_bar,
             "profit_improvement_min_10pct": row["profit_improvement_pct"] >= 10.0,
             f"surplus_improvement_min_{surplus_floor:g}pct":
                 row["surplus_improvement_pct"] >= surplus_floor,
@@ -312,7 +279,6 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
         "price_points": len(spec.price_grid),
         "j_star": sol.j_star,
         "iterations": sol.iterations,
-        "converged": sol.converged,
         "structure": {
             "h_monotone": structure.h_monotone,
             "h_concave": structure.h_concave,

@@ -9,13 +9,15 @@ never overflows; the empty state has nothing to depart.
 
 Uniformizing with U = max over the price grid of arrival + departure
 turns the chain into a discrete-time one whose optimality equations are
+(Puterman 1994, section 8)
 
-    J* + h_n = max_p [ n p + arrival(p)/U h_{n+1} + departure(p)/U h_{n-1}
-                       + (1 - arrival(p)/U - departure(p)/U) h_n ]
+    J* + h_n = max_p [ n p + h_n + arrival(p)/U (h_{n+1} - h_n)
+                       + departure(p)/U (h_{n-1} - h_n) ]
 
-with the conventions h_{-1} = 0 (the departure weight at n = 0 is zero,
-the empty system has no customers to lose) and h_{K+1} = h_K.  The
-relative rewards are normalized to h_K = 0.
+with reflecting boundaries h_{-1} = h_0 (the empty system has no
+customer to lose, so its departure term vanishes) and h_{K+1} = h_K
+(the full state's arrival term vanishes).  The relative rewards are
+normalized to h_K = 0.
 
 Two solvers are provided: policy iteration with exact LU policy
 evaluation, and relative value iteration with a span-seminorm stopping
@@ -24,6 +26,7 @@ rule.  Greedy improvement breaks ties toward the lowest price.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -92,9 +95,16 @@ class MdpSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "MdpSpec":
         """{"capacity": K, "arrival": coeffs, "departure": coeffs, "p_max": x, "price_points": N}"""
+        missing = [k for k in ("capacity", "arrival", "departure", "p_max") if cfg.get(k) is None]
+        if missing:
+            raise ValueError(f"MDP config is missing {', '.join(map(repr, missing))}")
+        capacity = cfg["capacity"]
+        if not (isinstance(capacity, (int, float)) and math.isfinite(capacity)
+                and capacity == int(capacity)):
+            raise ValueError(f"capacity must be a finite whole number, got {capacity!r}")
         rates = RateModel.from_polynomials(cfg["arrival"], cfg["departure"], cfg["p_max"])
         grid = uniform_grid(rates.p_max, int(cfg.get("price_points", 1000)))
-        return cls(capacity=int(cfg["capacity"]), price_grid=grid, rates=rates)
+        return cls(capacity=int(capacity), price_grid=grid, rates=rates)
 
     @cached_property
     def lam_grid(self) -> np.ndarray:
@@ -183,17 +193,33 @@ def average_revenue(spec: MdpSpec, policy: Policy) -> float:
     return float(np.sum(pi * states * policy.prices))
 
 
+def _backup_matrix(h: np.ndarray, states: np.ndarray, prices: np.ndarray,
+                   lam_u: np.ndarray, dlt_u: np.ndarray) -> np.ndarray:
+    """Right side of the optimality equation for every (state, price) pair.
+
+    q[i, j] = n p + h_n + lam_u[j] (h_{n+1} - h_n) + dlt_u[j] (h_{n-1} - h_n)
+    for n = states[i] and p = prices[j], where lam_u and dlt_u are the
+    rates at those prices over U; h_{-1} = h_0 and h_{K+1} = h_K.
+    """
+    h_n = h[states]
+    up = h[np.minimum(states + 1, len(h) - 1)] - h_n
+    dn = h[np.maximum(states - 1, 0)] - h_n
+    q = np.multiply.outer(states, prices)
+    q += h_n[:, None]
+    q += np.multiply.outer(up, lam_u)
+    q += np.multiply.outer(dn, dlt_u)
+    return q
+
+
 def bellman_backup(spec: MdpSpec, n: int, h: np.ndarray, p: float) -> float:
     """One-state backed-up value under relative reward vector h."""
     K = spec.capacity
     if not 0 <= n <= K:
         raise IndexError(f"state {n} outside 0..{K}")
     u = uniformization_rate(spec)
-    lam = spec.rates.arrival_rate(p)
-    dlt = spec.rates.departure_rate(p) if n > 0 else 0.0
-    h_up = h[n + 1] if n < K else h[K]  # h_{K+1} = h_K
-    h_dn = h[n - 1] if n > 0 else 0.0   # h_{-1} = 0 (zero weight anyway)
-    return float(n * p + (lam / u) * h_up + (dlt / u) * h_dn + (1.0 - lam / u - dlt / u) * h[n])
+    lam_u, dlt_u = spec.rates.arrival_rate(p) / u, spec.rates.departure_rate(p) / u
+    q = _backup_matrix(np.asarray(h, dtype=float), np.array([n]), np.array([p]), [lam_u], [dlt_u])
+    return float(q[0, 0])
 
 
 @dataclass(frozen=True)
@@ -202,7 +228,6 @@ class DpSolution:
     h: np.ndarray
     policy: Policy
     iterations: int
-    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +235,6 @@ class DpSolution:
             "h": [float(x) for x in self.h],
             "policy": [float(p) for p in self.policy.prices],
             "iterations": self.iterations,
-            "converged": self.converged,
         }
 
     def csv_rows(self):
@@ -218,30 +242,14 @@ class DpSolution:
             yield n, float(p), float(h)
 
 
-def _backup_matrix(spec: MdpSpec, h: np.ndarray, u: float) -> np.ndarray:
-    """Backed-up value for every (state, grid price) pair; shape (K+1, G)."""
-    K = spec.capacity
-    lam_u = spec.lam_grid / u
-    dlt_u = spec.dlt_grid / u
-    states = np.arange(K + 1)
-    h_up = np.append(h[1:], h[K])
-    h_dn = np.concatenate([[0.0], h[:-1]])
-    q = (
-        states[:, None] * spec.price_grid[None, :]
-        + lam_u[None, :] * h_up[:, None]
-        + dlt_u[None, :] * h_dn[:, None]
-        + (1.0 - lam_u - dlt_u)[None, :] * h[:, None]
-    )
-    # state 0 cannot lose a customer: drop the departure flow entirely
-    q[0] = lam_u * h[1] + (1.0 - lam_u) * h[0]
-    return q
-
-
-def _greedy_indices(spec: MdpSpec, h: np.ndarray, u: float) -> np.ndarray:
-    q = _backup_matrix(spec, h, u)
-    idx = np.argmax(q, axis=1)  # first maximum = lowest price among ties
-    idx[-1] = len(spec.price_grid) - 1  # full state is pinned to the null price
-    return idx
+def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy price index and backed-up value per state; ties go to the lowest
+    price, and the full state is pinned to the null price."""
+    states = np.arange(spec.capacity + 1)
+    q = _backup_matrix(h, states, spec.price_grid, spec.lam_grid / u, spec.dlt_grid / u)
+    idx = np.argmax(q, axis=1)
+    idx[-1] = len(spec.price_grid) - 1
+    return idx, q[states, idx]
 
 
 def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, np.ndarray]:
@@ -294,7 +302,6 @@ def _no_demand_solution(spec: MdpSpec) -> DpSolution:
         h=np.zeros(spec.capacity + 1),
         policy=Policy(prices),
         iterations=0,
-        converged=True,
     )
 
 
@@ -307,7 +314,7 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     idx = np.full(K + 1, len(spec.price_grid) - 1)  # start from the null price everywhere
     j, h = _evaluate_policy(spec, idx, u)
     for it in range(1, max_iter + 1):
-        new_idx = _greedy_indices(spec, h, u)
+        new_idx, _ = _greedy(spec, h, u)
         if np.array_equal(new_idx, idx):
             break
         idx = new_idx
@@ -325,14 +332,11 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
         h=h,
         policy=Policy(spec.price_grid[idx]),
         iterations=it,
-        converged=True,
     )
 
 
 def _bellman_residual(spec: MdpSpec, j: float, h: np.ndarray, u: float) -> float:
-    q = _backup_matrix(spec, h, u)
-    best = q.max(axis=1)
-    best[-1] = q[-1, -1]  # forced null price at the full state
+    _, best = _greedy(spec, h, u)
     return float(np.max(np.abs(j + h - best)))
 
 
@@ -354,30 +358,24 @@ def relative_value_iteration(
     u = uniformization_rate(spec)
     K = spec.capacity
     h = np.zeros(K + 1)
-    j = 0.0
-    converged = False
     for it in range(1, max_iter + 1):
-        q = _backup_matrix(spec, h, u)
-        w = q.max(axis=1)
-        w[-1] = q[-1, -1]
+        _, w = _greedy(spec, h, u)
         diff = w - h
         lo, hi = float(diff.min()), float(diff.max())
         j = 0.5 * (lo + hi)
         if hi - lo <= tol * max(1.0, abs(j)):
             h = w - w[K]
-            converged = True
             break
         h = (1.0 - damping) * h + damping * (w - w[K])  # keep h_K = 0
-    if not converged:
+    else:
         raise RuntimeError(f"relative value iteration did not reach span {tol} in {max_iter} sweeps")
 
-    idx = _greedy_indices(spec, h, u)
+    idx, _ = _greedy(spec, h, u)
     return DpSolution(
         j_star=j,
         h=h,
         policy=Policy(spec.price_grid[idx]),
         iterations=it,
-        converged=True,
     )
 
 
@@ -398,8 +396,6 @@ def verify_structure(sol: DpSolution, slack: float = 1e-9) -> StructureReport:
     Relative rewards must be non-decreasing and concave in the state,
     and the policy prices non-decreasing; `slack` absorbs float noise.
     """
-    if not sol.converged:
-        raise ValueError("structure checks need a converged solution")
     j = np.diff(sol.h)
     viol = []
     for n in np.nonzero(j < -slack)[0]:

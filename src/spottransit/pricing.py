@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandSpec, DomainError, IsoElasticDemand, LinearDemand
+from .demand import DemandSpec
 from .uncertainty import UncertaintyModel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -99,14 +99,6 @@ def profit_derivative(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
     return dem + d.slope(p) * (np.asarray(p, dtype=float) - mp.r - mp.m * tail)
 
 
-def _upper_bracket(d: DemandSpec, mp: MarketParams) -> float:
-    """Price above which the profit derivative cannot stay positive."""
-    if isinstance(d, IsoElasticDemand):
-        # stationary point even with a fully-saturated tail lies below this
-        return d.alpha * (mp.r + mp.m) / (d.alpha - 1.0) * (1.0 + 1e-6)
-    return d.choke_price
-
-
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
@@ -138,7 +130,7 @@ def optimize_price(
     """
     validate_market(d, u, mp)
     lo = mp.r * (1.0 + 1e-6)
-    hi = _upper_bracket(d, mp)
+    hi = d.upper_bracket(mp.r, mp.m)
     if not lo < hi:
         raise ValueError(
             f"no price range above cost: r={mp.r} vs upper bracket {hi} (degenerate parameters)"
@@ -181,20 +173,13 @@ def optimize_price(
 def regular_price(d_bar: DemandSpec, r_bar: float) -> float:
     """Profit-maximizing price of the regular (aggregate) market, (p - r̄) d̄(p).
 
-    Closed forms: r̄/(1 - 1/ᾱ) for iso-elastic, (r̄ + v̄/ᾱ)/2 for linear.
-    The solution always carries elasticity above one; if it does not,
-    the inputs are inconsistent and a ValueError is raised.
+    The closed form is the demand family's ``regular_price``.  The solution
+    always carries elasticity above one; if it does not, the inputs are
+    inconsistent and a ValueError is raised.
     """
     if not r_bar > 0:
         raise ValueError(f"regular cost must be positive, got {r_bar}")
-    if isinstance(d_bar, IsoElasticDemand):
-        p_bar = r_bar / (1.0 - 1.0 / d_bar.alpha)
-    else:
-        if not r_bar < d_bar.choke_price:
-            raise DomainError(
-                f"regular cost {r_bar} at or above the choke price {d_bar.choke_price}"
-            )
-        p_bar = 0.5 * (r_bar + d_bar.choke_price)
+    p_bar = d_bar.regular_price(r_bar)
     if not d_bar.elasticity(p_bar) > 1.0:
         raise ValueError("regular price solves to elasticity <= 1; inconsistent demand curve")
     return p_bar

@@ -171,10 +171,3 @@ def prediction_errors(s: TrafficSeries, window: float = 604800.0) -> PredictionR
     qq = np.column_stack([ndtri(positions), np.sort((residuals - mean) / sd)])
     return PredictionReport(mean, sd, n, qq)
 
-
-def qq_to_csv(report: PredictionReport, path):
-    """Dump Q-Q pairs for external plotting."""
-    with open(path, "w") as fh:
-        fh.write("theoretical_quantile,sample_quantile\n")
-        for a, b in report.qq_points:
-            fh.write(f"{a:.6g},{b:.6g}\n")

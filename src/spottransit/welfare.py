@@ -4,10 +4,9 @@ Consumer surplus is the willingness-to-pay left on the table at price p,
 
     S(p) = integral over x > p of (x - p) d(x) dx,
 
-with closed forms for both demand families:
-
-* iso-elastic (needs alpha > 2 to converge):  v p^(2-alpha) / ((alpha-1)(alpha-2))
-* linear:                                     alpha (v/alpha - p)^3 / 6
+with a closed form per demand family (``DemandSpec.consumer_surplus``;
+the iso-elastic integral needs alpha > 2 to converge and raises
+``DivergentSurplusError`` otherwise).
 
 Social welfare is surplus plus expected profit.  The report compares
 the spot regime at its optimal price against the regular regime at
@@ -18,29 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .demand import DemandSpec, DomainError, IsoElasticDemand, LinearDemand
+from .demand import DemandSpec, DivergentSurplusError  # noqa: F401  (re-exported)
 from .pricing import MarketParams, StaticSolution, expected_profit
 from .uncertainty import UncertaintyModel
 
 
-class DivergentSurplusError(ValueError):
-    """Iso-elastic surplus integral diverges for alpha <= 2."""
-
-
 def consumer_surplus(d: DemandSpec, p: float) -> float:
-    if isinstance(d, IsoElasticDemand):
-        if d.alpha <= 2.0:
-            raise DivergentSurplusError(
-                f"surplus undefined for iso-elastic alpha={d.alpha} <= 2 "
-                "(willingness-to-pay integral diverges)"
-            )
-        if not p > 0:
-            raise DomainError(f"need p > 0, got {p}")
-        return d.v * p ** (2.0 - d.alpha) / ((d.alpha - 1.0) * (d.alpha - 2.0))
-    assert isinstance(d, LinearDemand)
-    if p < 0 or p > d.choke_price:
-        raise DomainError(f"linear surplus defined on [0, {d.choke_price}], got {p}")
-    return d.alpha * (d.choke_price - p) ** 3 / 6.0
+    """Willingness-to-pay left on the table at price p (the family's closed form)."""
+    return d.consumer_surplus(p)
 
 
 def baseline_profit(d: DemandSpec, p_bar: float, r_bar: float) -> float:

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from spottransit.calibration import (
     REGION_PRICES,
     calibrate,
     derive_capacity_and_noise,
-    derive_linear_alpha_bar,
     derive_regular_cost,
     derive_regular_demand,
     derive_spot_demand,
     ixp_input,
-    with_beta,
 )
 from spottransit.demand import IsoElasticDemand, LinearDemand
 from spottransit.pricing import regular_price
@@ -45,15 +44,11 @@ def test_regular_cost():
     assert derive_regular_cost(near) == pytest.approx(7.5, rel=1e-9)
 
 
-def test_regular_cost_invariant_across_kinds():
-    # bit-identical for the iso and linear branches
-    assert derive_regular_cost(LONDON, "iso") == derive_regular_cost(LONDON, "linear")
-
-
 def test_linear_alpha_bar():
-    assert derive_linear_alpha_bar(LONDON) == pytest.approx(800.0 / 3.75)
+    # aggregate linear sensitivity d̄ / (p̄ - r̄) with the iso-derived cost r̄
+    assert derive_regular_demand(LONDON, "linear").alpha == pytest.approx(800.0 / 3.75)
     other = CalibrationInput(p_bar=7.0, d_bar=160.0)
-    assert derive_linear_alpha_bar(other) == pytest.approx(160.0 / 3.5)
+    assert derive_regular_demand(other, "linear").alpha == pytest.approx(160.0 / 3.5)
 
 
 def test_spot_demand_iso():
@@ -88,9 +83,9 @@ def test_spot_demand_degenerate_share():
 
 
 def test_capacity_and_noise():
-    c, noise = derive_capacity_and_noise(with_beta(LONDON, 0.2))
+    c, noise = derive_capacity_and_noise(replace(LONDON, beta=0.2))
     assert c == pytest.approx(0.6 * 800.0)
-    c7, _ = derive_capacity_and_noise(with_beta(LONDON, 0.7))
+    c7, _ = derive_capacity_and_noise(replace(LONDON, beta=0.7))
     assert c7 == pytest.approx(1.1 * 800.0)
     _, n5 = derive_capacity_and_noise(LONDON)
     assert n5.mu == pytest.approx(-7.9639)
@@ -123,11 +118,11 @@ def test_roundtrip_invariants():
 def test_penalty_assumption_flag():
     # a low penalty ratio voids the below-capacity guarantee and is flagged
     with pytest.warns(UserWarning, match="penalty"):
-        scen = calibrate(with_beta(LONDON, 0.2), kind="iso", m_ratio=0.5)
+        scen = calibrate(replace(LONDON, beta=0.2), kind="iso", m_ratio=0.5)
     assert not scen.penalty_assumption_ok
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok = calibrate(with_beta(LONDON, 0.2), kind="iso", m_ratio=1.0)
+        ok = calibrate(replace(LONDON, beta=0.2), kind="iso", m_ratio=1.0)
     assert ok.penalty_assumption_ok
 
 

@@ -21,20 +21,26 @@ LINX_SCENARIO = {"ixp": "linx", "kind": "iso", "beta": [0.2, 0.5, 0.7]}
 
 def test_load_scenario_variants(tmp_path):
     scn = load_scenario(LINX_SCENARIO)
-    assert scn.p_bar == 7.5
-    assert scn.d_bar == pytest.approx(1080.0)
+    assert scn.inp.p_bar == 7.5
+    assert scn.inp.d_bar == pytest.approx(1080.0)
     assert scn.label == "LINX"
-    assert scn.demand_source == "0.9*peak proxy"
+    assert scn.inp.demand_source == "0.9*peak proxy"
 
     explicit = load_scenario({"p_bar": 10.0, "d_bar": 500.0, "mu": 1.0, "theta": 20.0})
-    assert explicit.p_bar == 10.0 and explicit.betas == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    assert explicit.inp.p_bar == 10.0
+    assert explicit.betas == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
 
     region = load_scenario({"region": "hongkong", "d_bar": 160.0, "beta": 0.4})
-    assert region.p_bar == 22.0 and region.betas == [0.4]
+    assert region.inp.p_bar == 22.0 and region.betas == [0.4]
 
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"region": "newyork", "d_bar": 185.0, "theta": 26.0}))
-    assert load_scenario(path).p_bar == 7.0
+    assert load_scenario(path).inp.p_bar == 7.0
+
+    # IXP presets take overrides: explicit demand keeps the IXP noise
+    nix = load_scenario({"ixp": "nix", "d_bar": 200.0, "region": "hongkong"})
+    assert nix.inp.d_bar == 200.0 and nix.inp.demand_source == "explicit"
+    assert nix.inp.p_bar == 22.0 and nix.inp.theta == 30.2338
 
 
 def test_load_scenario_requires_one_source():
@@ -52,11 +58,18 @@ def test_load_scenario_from_trace(tmp_path):
     n = 2 * 2016
     t = np.arange(n) * 300.0
     vals = 100.0 + 40.0 * np.sin(2 * np.pi * (t % 604800.0) / 86400.0)
+    noise = np.random.default_rng(8).normal(0.0, 0.5, n)
     path = tmp_path / "trace.csv"
-    path.write_text("\n".join(f"{int(ts)},{v:.6f}" for ts, v in zip(t, vals)) + "\n")
+    path.write_text("\n".join(f"{int(ts)},{v:.6f}" for ts, v in zip(t, vals + noise)) + "\n")
     scn = load_scenario({"region": "london", "trace": str(path), "beta": 0.5})
-    assert scn.d_bar == pytest.approx(140.0, abs=1.0)  # p95 of the sinusoid
-    assert scn.demand_source.startswith("trace p95")
+    assert scn.inp.d_bar == pytest.approx(140.0, abs=1.0)  # p95 of the sinusoid
+    assert scn.inp.demand_source.startswith("trace p95")
+    assert scn.inp.theta == pytest.approx(np.sqrt(2.0) * 0.5, rel=0.1)
+
+    # a noiseless trace has zero residual sd: no noise model, rejected at load
+    path.write_text("\n".join(f"{int(ts)},{v:.6f}" for ts, v in zip(t, vals)) + "\n")
+    with pytest.raises(ValueError, match="theta"):
+        load_scenario({"region": "london", "trace": str(path), "beta": 0.5})
 
 
 def test_zero_elastic_share_rejected():
@@ -225,7 +238,6 @@ def test_main_mdp_and_simulate(tmp_path):
     rc = main(["--out", str(out), "mdp", "--config", str(cfg)])
     assert rc == 0
     saved = json.loads((tmp_path / "mdp_run.json").read_text())
-    assert saved["meta"]["converged"]
     assert saved["meta"]["structure"]["price_monotone"]
     assert len(saved["rows"]) == 11
 
@@ -251,3 +263,64 @@ def test_golden_static_run(golden=None):
                 assert fresh[key] == pytest.approx(val, rel=1e-9), key
             else:
                 assert fresh[key] == val, key
+
+
+def _run_error(argv, capsys):
+    """Run main expecting a clean failure; returns the single stderr line."""
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("scenario,names", [
+    ({"ixp": "foo"}, "linx"),
+    ({"region": "paris", "d_bar": 100.0}, "london"),
+])
+def test_main_unknown_preset_is_one_line_error(tmp_path, capsys, scenario, names):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), "static"], capsys)
+    assert names in line
+
+
+def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"ixp": "linx", "kind": "loglog"}))
+    out = tmp_path / "sweep"
+    line = _run_error(["--scenario", str(path), "--out", str(out), "sweep", "--param", "gamma"],
+                      capsys)
+    assert "loglog" in line
+    assert not (tmp_path / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"arrival": "absent"}, "arrival"),
+    ({"p_max": None}, "p_max"),
+    ({"capacity": 10.7}, "capacity"),
+    ({"capacity": float("inf")}, "capacity"),
+    ({"capacity": float("nan")}, "capacity"),
+])
+def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
+    cfg = {"capacity": 10, "arrival": [24.0, 0.0, -1.5], "departure": [0.0, 0.3],
+           "p_max": 4.0, "price_points": 200}
+    cfg.update(change)
+    cfg = {k: v for k, v in cfg.items() if v != "absent"}
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(cfg))
+    line = _run_error(["--out", str(tmp_path / "r"), "mdp", "--config", str(path)], capsys)
+    assert needle in line
+
+
+def test_main_predict_csv(tmp_path):
+    n = 3 * 2016
+    t = np.arange(n) * 300.0
+    rng = np.random.default_rng(3)
+    vals = 100.0 + 10.0 * np.sin(2 * np.pi * (t % 604800.0) / 86400.0) + rng.normal(0, 2.0, n)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(f"{int(ts)},{v:.4f}" for ts, v in zip(t, vals)) + "\n")
+    out = tmp_path / "qq"
+    assert main(["--out", str(out), "--format", "csv", "predict", "--trace", str(trace)]) == 0
+    lines = [l for l in (tmp_path / "qq.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "theoretical_quantile,sample_quantile"
+    assert len(lines) == 1 + 2 * 2016  # one Q-Q pair per week-ahead residual

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from spottransit.demand import (
     IsoElasticDemand,
     LinearDemand,
     demand_from_dict,
-    price_domain,
 )
 
 FIG1 = IsoElasticDemand(v=1313.26, alpha=1.6)
@@ -57,7 +58,7 @@ def test_slope_matches_finite_difference_everywhere():
     rng = np.random.default_rng(7)
     curves = [FIG1, IsoElasticDemand(50, 3.2), LinearDemand(100, 10), LinearDemand(740, 21.5)]
     for d in curves:
-        lo, hi = price_domain(d)
+        lo, hi = 0.0, getattr(d, "choke_price", math.inf)
         hi = min(hi, 40.0)
         for p in rng.uniform(lo + 0.5, hi - 0.5, size=20):
             h = 1e-5 * p
@@ -80,7 +81,7 @@ def test_elasticity():
 def test_elasticity_nondecreasing_in_price():
     rng = np.random.default_rng(11)
     for d in [FIG1, LinearDemand(100, 10), LinearDemand(2646, 252)]:
-        lo, hi = price_domain(d)
+        lo, hi = 0.0, getattr(d, "choke_price", math.inf)
         hi = min(hi * 0.999, 30.0)
         ps = np.sort(rng.uniform(lo + 0.1, hi, size=50))
         sig = [d.elasticity(p) for p in ps]
@@ -95,6 +96,14 @@ def test_inverse():
         LinearDemand(100, 10).inverse(100.1)  # beyond base demand
     with pytest.raises(DomainError):
         FIG1.inverse(0.0)
+
+
+def test_capacity_price():
+    # lowest price at which demand fits: the inverse, or 0 when demand never reaches C
+    assert FIG1.capacity_price(100.0) == pytest.approx(FIG1.inverse(100.0))
+    assert LinearDemand(100, 10).capacity_price(40.0) == pytest.approx(6.0)
+    assert LinearDemand(100, 10).capacity_price(100.0) == 0.0
+    assert LinearDemand(100, 10).capacity_price(150.0) == 0.0
 
 
 def test_inverse_by_bisection_oracle():
@@ -113,7 +122,7 @@ def test_inverse_by_bisection_oracle():
 def test_inverse_roundtrip():
     rng = np.random.default_rng(3)
     for d in [FIG1, IsoElasticDemand(61618.8, 2.5), LinearDemand(756, 72)]:
-        lo, hi = price_domain(d)
+        lo, hi = 0.0, getattr(d, "choke_price", math.inf)
         hi = min(hi, 30.0)
         for p in rng.uniform(lo + 0.2, hi - 0.2, size=25):
             assert d.inverse(d.demand(p)) == pytest.approx(p, rel=1e-9)
@@ -122,7 +131,7 @@ def test_inverse_roundtrip():
 def test_monotone_decreasing_and_convex():
     rng = np.random.default_rng(5)
     for d in [FIG1, IsoElasticDemand(400, 2.2), LinearDemand(100, 10)]:
-        lo, hi = price_domain(d)
+        lo, hi = 0.0, getattr(d, "choke_price", math.inf)
         hi = min(hi, 25.0)
         ps = np.sort(rng.uniform(lo + 0.1, hi, size=60))
         vals = np.array([d.demand(p) for p in ps])

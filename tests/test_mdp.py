@@ -148,7 +148,6 @@ TABLE = [
 @pytest.mark.parametrize("delta,j_ref", TABLE[:2])
 def test_policy_iteration_reference_values(delta, j_ref):
     sol = policy_iteration(make_spec(delta))
-    assert sol.converged
     assert sol.j_star == pytest.approx(j_ref, rel=0.01)
     assert sol.policy.prices[0] == 0.0          # free at empty
     assert sol.policy.prices[-1] == 4.0         # null price at full
@@ -203,12 +202,19 @@ def test_structure_negative_control():
     sol = policy_iteration(make_spec([0.0, 0.3], capacity=20, n_prices=200))
     h = sol.h.copy()
     h[7] = h[8] + 1.0  # inject a monotonicity inversion
-    broken = DpSolution(sol.j_star, h, sol.policy, sol.iterations, True)
+    broken = DpSolution(sol.j_star, h, sol.policy, sol.iterations)
     rep = verify_structure(broken)
     assert not rep.h_monotone
     assert ("h_monotone", 7) in rep.violations
-    with pytest.raises(ValueError):
-        verify_structure(DpSolution(0.0, h, sol.policy, 1, False))
+
+
+def test_solvers_raise_instead_of_returning_unconverged():
+    # a returned solution is always converged: running out of iterations raises
+    spec = make_spec([0.0, 0.3])
+    with pytest.raises(RuntimeError, match="policy iteration"):
+        policy_iteration(spec, max_iter=1)
+    with pytest.raises(RuntimeError, match="relative value iteration"):
+        relative_value_iteration(spec, max_iter=5)
 
 
 def test_higher_departure_dynamics_weakly_lower_revenue():
@@ -230,7 +236,7 @@ def test_policy_validation():
 def test_solution_serialization():
     sol = policy_iteration(make_spec([0.0, 0.3], capacity=10, n_prices=100))
     d = sol.to_dict()
-    assert d["converged"] and len(d["h"]) == 11 and len(d["policy"]) == 11
+    assert d["iterations"] == sol.iterations and len(d["h"]) == 11 and len(d["policy"]) == 11
     rows = list(sol.csv_rows())
     assert rows[0][0] == 0 and rows[-1][0] == 10
     assert rows[-1][1] == 4.0

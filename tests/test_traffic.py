@@ -9,7 +9,6 @@ from spottransit.traffic import (
     percentile_95,
     predict_persistence,
     prediction_errors,
-    qq_to_csv,
 )
 
 WEEK = 604800.0
@@ -145,15 +144,6 @@ def test_qq_points_near_identity_for_gaussian_residuals():
     # count matches and theoretical quantiles are sorted
     assert n == rep.residual_count
     assert np.all(np.diff(qq[:, 0]) > 0)
-
-
-def test_qq_csv_export(tmp_path):
-    rep = prediction_errors(diurnal(4, noise_sd=2.0, seed=3), WEEK)
-    out = tmp_path / "qq.csv"
-    qq_to_csv(rep, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "theoretical_quantile,sample_quantile"
-    assert len(lines) == 1 + rep.residual_count
 
 
 def test_report_serialization():
