@@ -19,9 +19,10 @@ customer to lose, so its departure term vanishes) and h_{K+1} = h_K
 (the full state's arrival term vanishes).  The relative rewards are
 normalized to h_K = 0.
 
-Two solvers are provided: policy iteration with exact LU policy
-evaluation, and relative value iteration with a span-seminorm stopping
-rule.  Greedy improvement breaks ties toward the lowest price.
+Two solvers are provided: policy iteration, which evaluates each policy
+by the product-form stationary law and one tridiagonal solve, and
+relative value iteration with a span-seminorm stopping rule.  Greedy
+improvement breaks ties toward the lowest price.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -38,17 +38,17 @@ from scipy.special import logsumexp
 
 @dataclass(frozen=True)
 class RateModel:
-    """Arrival/departure rate functions of price, plus the null price."""
+    """Arrival/departure rate polynomials of price (scalar or array), and the null price."""
 
-    arrival: Callable[[float], float]
-    departure: Callable[[float], float]
+    arrival: np.polynomial.Polynomial
+    departure: np.polynomial.Polynomial
     p_max: float
 
-    def arrival_rate(self, p: float) -> float:
-        return max(0.0, float(self.arrival(p)))
+    def arrival_rate(self, p):
+        return np.maximum(0.0, self.arrival(p))
 
-    def departure_rate(self, p: float) -> float:
-        return float(self.departure(p))
+    def departure_rate(self, p):
+        return self.departure(p)
 
     @classmethod
     def from_polynomials(cls, arrival_coeffs, departure_coeffs, p_max: float) -> "RateModel":
@@ -56,10 +56,6 @@ class RateModel:
         lam = np.polynomial.Polynomial(arrival_coeffs)
         dlt = np.polynomial.Polynomial(departure_coeffs)
         return cls(arrival=lam, departure=dlt, p_max=float(p_max))
-
-
-def uniform_grid(p_max: float, n: int = 1000) -> np.ndarray:
-    return np.linspace(0.0, p_max, n)
 
 
 @dataclass(frozen=True)
@@ -72,16 +68,18 @@ class MdpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "price_grid", np.asarray(self.price_grid, dtype=float))
-        if self.capacity < 1:
+        if not self.capacity >= 1:
             raise ValueError(f"capacity must be at least 1, got {self.capacity}")
         g = self.price_grid
         if g.ndim != 1 or len(g) < 2:
             raise ValueError("price grid needs at least the prices 0 and p_max")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("price grid must be strictly increasing")
-        if abs(g[0]) > 1e-12 or abs(g[-1] - self.rates.p_max) > 1e-9:
+        if not np.all(np.diff(g) > 0):  # also false for NaN, which fails every comparison
+            raise ValueError("price grid must be finite and strictly increasing")
+        if not (abs(g[0]) <= 1e-12 and abs(g[-1] - self.rates.p_max) <= 1e-9):
             raise ValueError("price grid must span [0, p_max] inclusive")
         lam, dlt = self.lam_grid, self.dlt_grid
+        if not np.all(np.isfinite([lam, dlt])):
+            raise ValueError("arrival and departure rates must be finite on the price grid")
         slack = 1e-9 * max(1.0, lam.max(initial=0.0), dlt.max(initial=0.0))
         if lam[-1] > slack:
             raise ValueError(f"arrival rate at the null price must be 0, got {lam[-1]}")
@@ -98,27 +96,25 @@ class MdpSpec:
         missing = [k for k in ("capacity", "arrival", "departure", "p_max") if cfg.get(k) is None]
         if missing:
             raise ValueError(f"MDP config is missing {', '.join(map(repr, missing))}")
-        capacity = cfg["capacity"]
-        if not (isinstance(capacity, (int, float)) and math.isfinite(capacity)
-                and capacity == int(capacity)):
-            raise ValueError(f"capacity must be a finite whole number, got {capacity!r}")
+        cfg = {"price_points": 1000, **cfg}
+        for key, whole, low in [("capacity", True, 0), ("p_max", False, 0),
+                                ("price_points", True, 1)]:
+            x = cfg[key]
+            if (isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
+                    or x <= low or (whole and x != int(x))):
+                kind = "whole number" if whole else "number"
+                raise ValueError(f"{key} must be a finite {kind} above {low}, got {x!r}")
         rates = RateModel.from_polynomials(cfg["arrival"], cfg["departure"], cfg["p_max"])
-        grid = uniform_grid(rates.p_max, int(cfg.get("price_points", 1000)))
-        return cls(capacity=int(capacity), price_grid=grid, rates=rates)
+        grid = np.linspace(0.0, rates.p_max, int(cfg["price_points"]))
+        return cls(capacity=int(cfg["capacity"]), price_grid=grid, rates=rates)
 
     @cached_property
     def lam_grid(self) -> np.ndarray:
-        return np.array([self.rates.arrival_rate(p) for p in self.price_grid])
+        return self.rates.arrival_rate(self.price_grid)
 
     @cached_property
     def dlt_grid(self) -> np.ndarray:
-        return np.array([self.rates.departure_rate(p) for p in self.price_grid])
-
-    def price_index(self, p: float) -> int:
-        i = int(np.argmin(np.abs(self.price_grid - p)))
-        if abs(self.price_grid[i] - p) > 1e-9 * max(1.0, abs(p)):
-            raise ValueError(f"price {p} is not on the grid")
-        return i
+        return self.rates.departure_rate(self.price_grid)
 
 
 @dataclass(frozen=True)
@@ -131,15 +127,19 @@ class Policy:
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
 
 
-def validate_policy(spec: MdpSpec, policy: Policy):
-    if len(policy.prices) != spec.capacity + 1:
-        raise ValueError(
-            f"policy must have {spec.capacity + 1} prices (states 0..K), got {len(policy.prices)}"
-        )
-    for p in policy.prices:
-        spec.price_index(p)
-    if abs(policy.prices[-1] - spec.rates.p_max) > 1e-9:
+def validate_policy(spec: MdpSpec, policy: Policy) -> np.ndarray:
+    """Check the policy against the spec; returns the grid index of each price."""
+    p, g = policy.prices, spec.price_grid
+    if len(p) != spec.capacity + 1:
+        raise ValueError(f"policy must have {spec.capacity + 1} prices (states 0..K), got {len(p)}")
+    tol = 1e-9 * np.maximum(1.0, np.abs(p))
+    idx = np.minimum(np.searchsorted(g, p - tol), len(g) - 1)  # lowest grid point within tol
+    off = ~(np.abs(g[idx] - p) <= tol)  # NaN prices are off the grid too
+    if off.any():
+        raise ValueError(f"price {p[off][0]} is not on the grid")
+    if idx[-1] != len(g) - 1:
         raise ValueError("the full state must post the null price p_max")
+    return idx
 
 
 def uniformization_rate(spec: MdpSpec) -> float:
@@ -152,25 +152,23 @@ def uniformization_rate(spec: MdpSpec) -> float:
 
 def policy_rates(spec: MdpSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Effective per-state (arrival, departure) rates; no departure from state 0."""
-    validate_policy(spec, policy)
-    lam = np.array([spec.rates.arrival_rate(p) for p in policy.prices])
-    dlt = np.array([spec.rates.departure_rate(p) for p in policy.prices])
+    idx = validate_policy(spec, policy)
+    lam, dlt = spec.lam_grid[idx], spec.dlt_grid[idx]
     dlt[0] = 0.0
     return lam, dlt
 
 
-def steady_state(spec: MdpSpec, policy: Policy) -> np.ndarray:
-    """Stationary distribution of the birth-death chain under the policy.
+def _stationary_law(lam: np.ndarray, dlt: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stationary law of the birth-death chain with per-state rates lam, dlt
+    started empty, and the top state of its recurrent class.
 
-    pi_n is proportional to prod_{i<n} arrival_i / departure_{i+1}
-    (computed in log space to dodge overflow on long ladders).  A free
-    price at a low state makes its departure rate zero, so the chain,
-    started empty, climbs past it for good: the distribution is the
-    product form restricted to the recurrent class reached from state 0
-    and zero elsewhere.
+    pi_n is proportional to prod_{i<n} lam_i / dlt_{i+1} (computed in log
+    space to dodge overflow on long ladders).  A state whose arrivals are
+    shut off caps the class; a zero departure rate at a lower state lets
+    the chain climb past it for good.  pi is the product form restricted
+    to that recurrent class and zero elsewhere.
     """
-    lam, dlt = policy_rates(spec, policy)
-    K = spec.capacity
+    K = len(lam) - 1
     # ceiling: first state whose posted price shuts off arrivals
     zero_up = np.nonzero(lam[:K] <= 0.0)[0]
     n_hi = int(zero_up[0]) if len(zero_up) else K
@@ -183,14 +181,19 @@ def steady_state(spec: MdpSpec, policy: Policy) -> np.ndarray:
     log_w = np.concatenate([[0.0], np.cumsum(log_ratio)])
     pi = np.zeros(K + 1)
     pi[n_lo : n_hi + 1] = np.exp(log_w - logsumexp(log_w))
-    return pi / pi.sum()
+    return pi / pi.sum(), n_hi
+
+
+def steady_state(spec: MdpSpec, policy: Policy) -> np.ndarray:
+    """Stationary distribution of the birth-death chain under the policy,
+    on the recurrent class reached from state 0 (see `_stationary_law`)."""
+    return _stationary_law(*policy_rates(spec, policy))[0]
 
 
 def average_revenue(spec: MdpSpec, policy: Policy) -> float:
     """Long-run revenue per unit time: sum_n pi_n * n * p_n."""
     pi = steady_state(spec, policy)
-    states = np.arange(spec.capacity + 1)
-    return float(np.sum(pi * states * policy.prices))
+    return float(np.sum(pi * np.arange(spec.capacity + 1) * policy.prices))
 
 
 def _backup_matrix(h: np.ndarray, states: np.ndarray, prices: np.ndarray,
@@ -253,40 +256,38 @@ def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndar
 
 
 def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, np.ndarray]:
-    """Exact (J, h) with h_K = 0 for a fixed policy, by dense LU.
+    """(J, h) with h_K = 0 for a fixed policy (Puterman 1994, section 8.6).
 
-    Unknowns are h_0..h_K and J: K+1 balance equations plus the
-    normalization row.
+    J is the product-form revenue rate.  h then solves the K+1 balance
+    equations (lam_n + dlt_n) h_n - lam_n h_{n+1} - dlt_n h_{n-1} = n p_n - J
+    (rates over U), which have rank K when the policy has one recurrent
+    class.  Pinning h_m = 0 and dropping equation m, for the most likely
+    state m, splits them into two tridiagonal blocks solved in one banded
+    call; h is then shifted to h_K = 0.
     """
     K = spec.capacity
-    prices = spec.price_grid[idx]
-    lam = spec.lam_grid[idx] / u
-    dlt = spec.dlt_grid[idx] / u
-    dlt[0] = 0.0
-    lam[K] = 0.0  # null price pinned; h_{K+1}=h_K would fold it into the diagonal anyway
+    states, prices = np.arange(K + 1), spec.price_grid[idx]
+    lam, dlt = spec.lam_grid[idx], spec.dlt_grid[idx]
+    dlt[0] = lam[K] = 0.0  # nothing departs the empty state or arrives at the full one
+    pi, n_hi = _stationary_law(lam, dlt)
+    if np.any(dlt[n_hi + 1 :] <= 0.0):
+        raise RuntimeError("policy has two closed classes; its average reward is not unique")
+    j = float(np.sum(pi * states * prices))  # as average_revenue computes it
+    b = states * prices - j
+    lam, dlt = lam / u, dlt / u
 
-    n_unknowns = K + 2
-    a = np.zeros((n_unknowns, n_unknowns))
-    b = np.zeros(n_unknowns)
-    for n in range(K + 1):
-        a[n, n] = lam[n] + dlt[n]
-        if n < K:
-            a[n, n + 1] = -lam[n]
-        if n > 0:
-            a[n, n - 1] = -dlt[n]
-        a[n, K + 1] = 1.0
-        b[n] = n * prices[n]
-    a[K + 1, K] = 1.0
+    m = int(np.argmax(pi))  # equation m holds only through J, to J's rounding over pi_m
+    keep = states != m
+    up, dn = -lam * keep, -dlt * keep  # row n's couplings to h_{n+1}, h_{n-1}; none for row m
+    ab = np.array([np.append(0.0, up[:-1]), lam + dlt, np.append(dn[1:], 0.0)])
+    h = np.insert(scipy.linalg.solve_banded((1, 1), ab[:, keep], b[keep]), m, 0.0)
+    h -= h[K]
 
-    try:
-        lu, piv = scipy.linalg.lu_factor(a)
-        x = scipy.linalg.lu_solve((lu, piv), b)
-        x += scipy.linalg.lu_solve((lu, piv), b - a @ x)  # one refinement pass
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular policy-evaluation system (degenerate rates): {exc}")
-    if not np.all(np.isfinite(x)) or np.max(np.abs(a @ x - b)) > 1e-6 * max(1.0, np.abs(x).max()):
+    d = np.diff(h)
+    resid = dlt * np.append(0.0, d) - lam * np.append(d, 0.0) - b
+    if not np.all(np.isfinite(h)) or np.abs(resid).max() > 1e-6 * max(1.0, abs(j), np.abs(h).max()):
         raise RuntimeError("singular policy-evaluation system (degenerate rates)")
-    return float(x[K + 1]), x[: K + 1]
+    return j, h
 
 
 def _no_demand_solution(spec: MdpSpec) -> DpSolution:
@@ -310,8 +311,7 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     if not np.any(spec.lam_grid > 0):
         return _no_demand_solution(spec)
     u = uniformization_rate(spec)
-    K = spec.capacity
-    idx = np.full(K + 1, len(spec.price_grid) - 1)  # start from the null price everywhere
+    idx = np.full(spec.capacity + 1, len(spec.price_grid) - 1)  # null price everywhere
     j, h = _evaluate_policy(spec, idx, u)
     for it in range(1, max_iter + 1):
         new_idx, _ = _greedy(spec, h, u)
@@ -397,13 +397,10 @@ def verify_structure(sol: DpSolution, slack: float = 1e-9) -> StructureReport:
     and the policy prices non-decreasing; `slack` absorbs float noise.
     """
     j = np.diff(sol.h)
-    viol = []
-    for n in np.nonzero(j < -slack)[0]:
-        viol.append(("h_monotone", int(n)))
-    for n in np.nonzero(np.diff(j) > slack)[0]:
-        viol.append(("h_concave", int(n) + 1))
-    for n in np.nonzero(np.diff(sol.policy.prices) < -slack)[0]:
-        viol.append(("price_monotone", int(n)))
+    viol = [("h_monotone", int(n)) for n in np.flatnonzero(j < -slack)]
+    viol += [("h_concave", int(n) + 1) for n in np.flatnonzero(np.diff(j) > slack)]
+    viol += [("price_monotone", int(n))
+             for n in np.flatnonzero(np.diff(sol.policy.prices) < -slack)]
     kinds = {k for k, _ in viol}
     return StructureReport(
         h_monotone="h_monotone" not in kinds,

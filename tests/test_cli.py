@@ -300,6 +300,14 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     ({"capacity": 10.7}, "capacity"),
     ({"capacity": float("inf")}, "capacity"),
     ({"capacity": float("nan")}, "capacity"),
+    ({"p_max": float("nan")}, "p_max"),
+    ({"p_max": "nan"}, "p_max"),
+    ({"p_max": [4]}, "p_max"),
+    ({"p_max": 0}, "p_max"),
+    ({"price_points": 10.7}, "price_points"),
+    ({"price_points": 1}, "price_points"),
+    ({"price_points": None}, "price_points"),
+    ({"departure": [0.0, float("nan")]}, "finite"),
 ])
 def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
     cfg = {"capacity": 10, "arrival": [24.0, 0.0, -1.5], "departure": [0.0, 0.3],

@@ -6,6 +6,7 @@ from spottransit.mdp import (
     MdpSpec,
     Policy,
     RateModel,
+    _evaluate_policy,
     average_revenue,
     bellman_backup,
     policy_iteration,
@@ -35,18 +36,30 @@ def test_rate_model_clamps_arrivals():
     assert rates.arrival_rate(10.0) == 0.0  # clamped, polynomial is negative there
     assert rates.arrival_rate(0.0) == 24.0
     assert rates.departure_rate(2.0) == pytest.approx(0.6)
+    np.testing.assert_array_equal(rates.arrival_rate(np.array([0.0, 4.0, 10.0])), [24.0, 0.0, 0.0])
+    np.testing.assert_allclose(rates.departure_rate(np.array([0.0, 2.0])), [0.0, 0.6])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the polynomial
 def test_spec_validation():
     with pytest.raises(ValueError, match="null price"):
         MdpSpec(100, np.linspace(0, 4, 100), RateModel.from_polynomials([24.0], [0.0, 0.3], 4.0))
     with pytest.raises(ValueError, match="non-increasing"):
         MdpSpec(100, np.linspace(0, 4, 100),
-                RateModel(lambda p: p * (4 - p), lambda p: 0.3 * p, 4.0))
+                RateModel.from_polynomials([0.0, 4.0, -1.0], [0.0, 0.3], 4.0))
     with pytest.raises(ValueError, match="capacity"):
         make_spec([0.0, 0.3], capacity=0)
     with pytest.raises(ValueError, match="span"):
         MdpSpec(10, np.linspace(1.0, 4.0, 50), RateModel.from_polynomials(LAMBDA, [0, 0.3], 4.0))
+    # NaN fails every comparison, so non-finite values need their own checks
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        MdpSpec(10, [0.0, np.nan, 4.0], RateModel.from_polynomials(LAMBDA, [0, 0.3], 4.0))
+    with pytest.raises(ValueError, match="span"):
+        MdpSpec(10, np.linspace(0, 4, 50), RateModel.from_polynomials(LAMBDA, [0, 0.3], np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        MdpSpec(10, np.linspace(0, 4, 50), RateModel.from_polynomials(LAMBDA, [0, np.inf], 4.0))
+    with pytest.raises(ValueError, match="finite"):
+        MdpSpec(10, np.linspace(0, 4, 50), RateModel.from_polynomials([24, np.nan], [0, 0.3], 4.0))
 
 
 def test_uniformization_rate():
@@ -65,7 +78,7 @@ def test_uniformization_rate():
 
     # constant rates (arrivals identically zero to honor the null price): a + b
     spec3 = MdpSpec(5, np.linspace(0, 4, 50),
-                    RateModel(lambda p: 0.0, lambda p: 1.7, 4.0))
+                    RateModel.from_polynomials([0.0], [1.7], 4.0))
     assert uniformization_rate(spec3) == pytest.approx(1.7)
 
 
@@ -75,7 +88,7 @@ def test_steady_state_k1_hand_value():
 
 
 def test_steady_state_no_arrivals_pins_empty_state():
-    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel(lambda p: 0.0, lambda p: 0.3 * p, 4.0))
+    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
     pi = steady_state(spec, Policy([4.0] * 6))
     assert pi[0] == pytest.approx(1.0)
 
@@ -98,7 +111,7 @@ def test_steady_state_normalization_and_balance():
 
 def test_average_revenue_k1():
     assert average_revenue(K1_SPEC, K1_POLICY) == pytest.approx(80.0 / 21.0, rel=1e-12)
-    spec0 = MdpSpec(3, np.linspace(0, 4, 50), RateModel(lambda p: 0.0, lambda p: 0.3 * p, 4.0))
+    spec0 = MdpSpec(3, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
     assert average_revenue(spec0, Policy([4.0] * 4)) == 0.0
 
 
@@ -162,7 +175,7 @@ def test_policy_iteration_matches_product_form_revenue():
 
 
 def test_policy_iteration_no_demand():
-    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel(lambda p: 0.0, lambda p: 0.3 * p, 4.0))
+    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
     sol = policy_iteration(spec)
     assert sol.j_star == 0.0
     assert np.all(sol.h == 0.0)
@@ -231,6 +244,11 @@ def test_policy_validation():
         steady_state(spec, Policy([0.0, 4.0]))
     with pytest.raises(ValueError, match="grid"):
         steady_state(spec, Policy([0.017, g[10], g[10], g[10], g[10], 4.0]))
+    with pytest.raises(ValueError, match="grid"):
+        steady_state(spec, Policy([g[0], np.nan, g[10], g[10], g[10], 4.0]))
+    # a price within the 1e-9 tolerance of a grid point maps to it
+    lam, _ = policy_rates(spec, Policy([g[0], g[10] + 1e-12, g[11] - 1e-12, g[99], g[99], 4.0]))
+    np.testing.assert_array_equal(lam, spec.lam_grid[[0, 10, 11, 99, 99, 99]])
 
 
 def test_solution_serialization():
@@ -249,3 +267,75 @@ def test_from_config():
     )
     assert spec.capacity == 10 and len(spec.price_grid) == 128
     assert spec.rates.arrival_rate(0.0) == 24.0
+
+
+def _dense_evaluation(spec, idx, u):
+    """Reference (J, h): dense solve of the bordered system in h_0..h_K and J,
+    K+1 balance equations plus the normalization h_K = 0."""
+    K = spec.capacity
+    lam, dlt = spec.lam_grid[idx] / u, spec.dlt_grid[idx] / u
+    lam[K], dlt[0] = 0.0, 0.0
+    a = np.zeros((K + 2, K + 2))
+    a[: K + 1, : K + 1] = np.diag(lam + dlt) - np.diag(lam[:-1], 1) - np.diag(dlt[1:], -1)
+    a[: K + 1, K + 1] = 1.0
+    a[K + 1, K] = 1.0
+    b = np.append(np.arange(K + 1) * spec.price_grid[idx], 0.0)
+    x = np.linalg.solve(a, b)
+    return x[K + 1], x[: K + 1]
+
+
+def _assert_matches_dense(spec, idx):
+    u = uniformization_rate(spec)
+    j, h = _evaluate_policy(spec, idx, u)
+    j_ref, h_ref = _dense_evaluation(spec, idx, u)
+    assert h[-1] == 0.0
+    assert j == pytest.approx(j_ref, rel=1e-10, abs=1e-10)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=1e-10 * np.abs(h_ref).max())
+    return j
+
+
+def test_policy_evaluation_matches_dense_reference():
+    j = _assert_matches_dense(K1_SPEC, np.array([0, 999]))
+    assert j == pytest.approx(80.0 / 21.0, rel=1e-12)
+
+    spec = make_spec([0.0, 0.3], capacity=40, n_prices=200)
+    null = len(spec.price_grid) - 1
+    j = _assert_matches_dense(spec, np.full(41, null))  # the PI start policy
+    assert j == 0.0
+
+    # ceiling: arrivals shut off from state 25 on, so pi_K = 0
+    rng = np.random.default_rng(71)
+    idx = np.append(np.sort(rng.integers(0, null, size=25)), np.full(16, null))
+    j = _assert_matches_dense(spec, idx)
+    assert j == pytest.approx(average_revenue(spec, Policy(spec.price_grid[idx])), rel=1e-12)
+
+    compared = 0
+    for _ in range(40):
+        idx = np.append(np.sort(rng.integers(0, null, size=40)), null)
+        if np.abs(_dense_evaluation(spec, idx, uniformization_rate(spec))[1]).max() > 1e12:
+            continue  # both solvers hit rounding there; the difference is noise
+        _assert_matches_dense(spec, idx)
+        compared += 1
+    assert compared >= 20
+
+
+def test_policy_evaluation_rejects_two_closed_classes():
+    # null price at state 10 traps the chain below it; price 0 (no departures)
+    # at state 20 closes states 20..K off above it
+    spec = make_spec([0.0, 0.3], capacity=40, n_prices=200)
+    idx = np.full(41, 100)
+    idx[10], idx[20], idx[40] = 199, 0, 199
+    with pytest.raises(RuntimeError, match="closed classes"):
+        _evaluate_policy(spec, idx, uniformization_rate(spec))
+
+
+def test_policy_iteration_scales_to_large_capacity():
+    # a K-state policy embeds in the (K+1)-state chain by posting the null
+    # price at state K, so the optimal revenue cannot fall as K grows
+    js = []
+    for k in (1000, 3000, 10000):
+        spec = make_spec([0.0, 0.3], capacity=k, n_prices=200)
+        sol = policy_iteration(spec)
+        assert sol.j_star == pytest.approx(average_revenue(spec, sol.policy), rel=1e-9)
+        js.append(sol.j_star)
+    assert js[0] <= js[1] <= js[2]

@@ -48,7 +48,7 @@ def test_k1_within_three_stderr():
 
 
 def test_no_demand_stuck_at_empty():
-    spec = MdpSpec(3, np.linspace(0, 4, 50), RateModel(lambda p: 0.0, lambda p: 0.3 * p, 4.0))
+    spec = MdpSpec(3, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
     pol = Policy([0.0, 4.0, 4.0, 4.0])
     res = simulate_policy(SimConfig(spec, pol, horizon=100.0, seed=3))
     assert res.revenue_rate_estimate == 0.0
