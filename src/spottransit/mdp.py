@@ -35,6 +35,14 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
+# Largest (K+1) x G problem from_config accepts: each greedy step holds several
+# float arrays of that many cells (2e7 cells is 160 MB apiece).
+_MAX_CELLS = 2 * 10**7
+
+
+def _finite_real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -100,13 +108,20 @@ class MdpSpec:
         for key, whole, low in [("capacity", True, 0), ("p_max", False, 0),
                                 ("price_points", True, 1)]:
             x = cfg[key]
-            if (isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
-                    or x <= low or (whole and x != int(x))):
+            if not _finite_real(x) or x <= low or (whole and x != int(x)):
                 kind = "whole number" if whole else "number"
                 raise ValueError(f"{key} must be a finite {kind} above {low}, got {x!r}")
+        for key in ("arrival", "departure"):
+            c = cfg[key]
+            if not (isinstance(c, list) and c and all(map(_finite_real, c))):
+                raise ValueError(f"{key} must be a non-empty list of finite numbers, got {c!r}")
+        k, g = int(cfg["capacity"]), int(cfg["price_points"])
+        if (k + 1) * g > _MAX_CELLS:
+            raise ValueError(f"capacity {k} and price_points {g} give (K+1) x G = {(k + 1) * g} "
+                             f"cells, above the limit of {_MAX_CELLS}")
         rates = RateModel.from_polynomials(cfg["arrival"], cfg["departure"], cfg["p_max"])
-        grid = np.linspace(0.0, rates.p_max, int(cfg["price_points"]))
-        return cls(capacity=int(cfg["capacity"]), price_grid=grid, rates=rates)
+        grid = np.linspace(0.0, rates.p_max, g)
+        return cls(capacity=k, price_grid=grid, rates=rates)
 
     @cached_property
     def lam_grid(self) -> np.ndarray:

@@ -8,17 +8,31 @@ estimates are compared against the product-form steady state and the
 analytic average revenue; agreement within three standard errors (and
 a small total-variation distance on occupancy) validates both codes
 against each other since they share no computation.
+
+The chain is stepped in blocks of draws rather than one event at a time.
+A plain Python loop over one sub-chunk of uniforms yields the state path
+(stopping at a state with no way out); numpy then turns the matching
+exponentials into sojourn ends with one sequential cumulative sum from
+the current time, finds the first end at the horizon, and adds each
+sojourn's post-warmup time into its (batch, state) cell in time order.
+Every addition is the one the per-event loop would make, in the same
+order, so a seed's results are bit-for-bit those of that loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mdp import MdpSpec, Policy, average_revenue, policy_rates, steady_state
 
-_BLOCK = 1 << 16  # RNG draws are taken in blocks; purely a speed knob
+# Philox draws come in blocks of _BLOCK exponentials, then _BLOCK uniforms.  The
+# block size fixes the random stream: changing it changes every seeded result.
+_BLOCK = 1 << 16
+# Draws stepped per numpy pass.  It bounds the scratch arrays; results do not depend on it.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -34,6 +48,8 @@ class SimConfig:
     def __post_init__(self):
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.05 * self.horizon)
+        if not (math.isfinite(self.horizon) and math.isfinite(self.warmup)):
+            raise ValueError(f"horizon and warmup must be finite, got {self.horizon}, {self.warmup}")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
         if not 0 <= self.start_state <= self.spec.capacity:
@@ -62,25 +78,6 @@ class SimResult:
         }
 
 
-class _Draws:
-    """Blocked draws from a counter-based generator (Philox)."""
-
-    def __init__(self, seed: int):
-        self.rng = np.random.Generator(np.random.Philox(seed))
-        self._exp = np.empty(0)
-        self._uni = np.empty(0)
-        self._i = 0
-
-    def next_pair(self):
-        if self._i >= len(self._exp):
-            self._exp = self.rng.exponential(size=_BLOCK)
-            self._uni = self.rng.random(size=_BLOCK)
-            self._i = 0
-        out = self._exp[self._i], self._uni[self._i]
-        self._i += 1
-        return out
-
-
 def simulate_policy(cfg: SimConfig) -> SimResult:
     """Run one seeded replication; identical config and seed reproduce the result bit-for-bit."""
     spec, policy = cfg.spec, cfg.policy
@@ -91,6 +88,7 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
     n_states = spec.capacity + 1
     batch_len = (cfg.horizon - cfg.warmup) / cfg.n_batches
     occ_time = np.zeros((cfg.n_batches, n_states))
+    occ_cells = occ_time.reshape(-1)  # view: cell b * n_states + state
 
     def accrue(state: int, t0: float, t1: float):
         t0 = max(t0, cfg.warmup)
@@ -107,25 +105,59 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
             hi = lo + batch_len
             occ_time[b, state] += min(t1, hi) - max(t0, lo)
 
-    draws = _Draws(cfg.seed)
+    def accrue_path(states: np.ndarray, t: float, ends: np.ndarray):
+        """accrue() for consecutive sojourns from t, in the same order and arithmetic."""
+        starts = np.concatenate(([t], ends[:-1]))
+        t0 = np.maximum(starts, cfg.warmup)
+        t1 = np.minimum(ends, cfg.horizon)
+        keep = t1 > t0
+        b0, b1 = (np.minimum(((x - cfg.warmup) / batch_len).astype(np.intp), cfg.n_batches - 1)
+                  for x in (t0, t1))
+        cells, dt = b0 * n_states + states, t1 - t0
+        lo = 0
+        for i in [*np.flatnonzero(keep & (b0 != b1)).tolist(), len(states)]:
+            k = keep[lo:i]
+            np.add.at(occ_cells, cells[lo:i][k], dt[lo:i][k])
+            if i < len(states):  # crosses a batch boundary
+                accrue(int(states[i]), starts[i], ends[i])
+            lo = i + 1
+
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    up, dead = p_up.tolist(), (total <= 0.0).tolist()
     t = 0.0
     state = cfg.start_state
     transitions = 0
     stuck = None
-    while t < cfg.horizon:
-        rate = total[state]
-        if rate <= 0.0:
+    pos = _BLOCK
+    while True:
+        if pos >= _BLOCK:
+            exp = rng.exponential(size=_BLOCK)
+            uni = rng.random(size=_BLOCK)
+            pos = 0
+        path = []
+        for u in uni[pos:pos + _CHUNK].tolist():
+            if dead[state]:
+                break
+            path.append(state)
+            state = state + 1 if u < up[state] else state - 1
+        if path:
+            states = np.array(path, dtype=np.intp)
+            ends = exp[pos:pos + len(path)] / total[states]
+            ends[0] += t
+            np.cumsum(ends, out=ends)  # sequential adds: ends[i] == t + e_0/r_0 + ... + e_i/r_i
+            end = int(np.searchsorted(ends, cfg.horizon))  # first sojourn reaching the horizon
+            if end < len(ends):
+                accrue_path(states[:end + 1], t, ends[:end + 1])
+                transitions += end
+                break
+            accrue_path(states, t, ends)
+            transitions += len(ends)
+            t = ends[-1]
+        pos += _CHUNK
+        if dead[state]:  # the walk stopped at a state with no way out
             stuck = state
             accrue(state, t, cfg.horizon)
             break
-        e, uni = draws.next_pair()
-        t_next = t + e / rate
-        accrue(state, t, t_next)
-        t = t_next
-        if t >= cfg.horizon:
-            break
-        state = state + 1 if uni < p_up[state] else state - 1
-        transitions += 1
 
     duration = cfg.horizon - cfg.warmup
     rev_rates = np.arange(n_states) * policy.prices

@@ -308,7 +308,15 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     ({"price_points": 1}, "price_points"),
     ({"price_points": None}, "price_points"),
     ({"departure": [0.0, float("nan")]}, "finite"),
+    ({"arrival": [None]}, "arrival"),
+    ({"arrival": {}}, "arrival"),
+    ({"arrival": []}, "arrival"),
+    ({"arrival": [24.0, float("inf")]}, "arrival"),
+    ({"arrival": "24"}, "arrival"),
+    ({"departure": [0.0, True]}, "departure"),
+    ({"capacity": 19, "price_points": 1_000_001}, "price_points 1000001"),
 ])
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
     cfg = {"capacity": 10, "arrival": [24.0, 0.0, -1.5], "departure": [0.0, 0.3],
            "p_max": 4.0, "price_points": 200}
@@ -318,6 +326,17 @@ def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
     path.write_text(json.dumps(cfg))
     line = _run_error(["--out", str(tmp_path / "r"), "mdp", "--config", str(path)], capsys)
     assert needle in line
+
+
+@pytest.mark.parametrize("horizon,warmup", [("inf", "10"), ("1e3", "inf"), ("inf", None)])
+def test_main_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon, warmup):
+    cfg = tmp_path / "mdp.json"
+    cfg.write_text(json.dumps({"capacity": 2, "arrival": [24.0, 0.0, -1.5],
+                               "departure": [0.0, 0.3], "p_max": 4.0, "price_points": 20}))
+    argv = ["--out", str(tmp_path / "r"), "simulate", "--config", str(cfg),
+            "--horizon", horizon, "--seed", "1"]
+    line = _run_error(argv + (["--warmup", warmup] if warmup else []), capsys)
+    assert "finite" in line
 
 
 def test_main_predict_csv(tmp_path):

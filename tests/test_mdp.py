@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,19 @@ def test_from_config():
     )
     assert spec.capacity == 10 and len(spec.price_grid) == 128
     assert spec.rates.arrival_rate(0.0) == 24.0
+
+
+def test_from_config_bounds_problem_size():
+    cfg = {"capacity": 19, "arrival": LAMBDA, "departure": [0.0, 0.3], "p_max": 4.0}
+    assert len(MdpSpec.from_config({**cfg, "price_points": 10**6}).price_grid) == 10**6  # 2e7 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"capacity 19 and price_points 1000001"):
+            MdpSpec.from_config({**cfg, "price_points": 10**6 + 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # refused before the grid is built
 
 
 def _dense_evaluation(spec, idx, u):
