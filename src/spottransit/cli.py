@@ -284,6 +284,7 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
             "h_concave": structure.h_concave,
             "price_monotone": structure.price_monotone,
             "violations": structure.violations,
+            "worst_violation": structure.worst_violation,
         },
     }
     rows = [{"state": n, "price": p, "h": h} for n, p, h in sol.csv_rows()]

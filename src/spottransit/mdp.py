@@ -21,8 +21,20 @@ normalized to h_K = 0.
 
 Two solvers are provided: policy iteration, which evaluates each policy
 by the product-form stationary law and one tridiagonal solve, and
-relative value iteration with a span-seminorm stopping rule.  Greedy
-improvement breaks ties toward the lowest price.
+relative value iteration with a span-seminorm stopping rule.
+
+Both improve greedily: each state takes the grid price with the largest
+right side, ties going to the lowest price, and the full state keeps
+the null price.  The right side at state n is a polynomial in p on each
+run of grid prices where the clamped arrival rate stays positive (or
+stays zero), so between its critical points and the run boundaries it
+is monotone and only the two grid points around each of these special
+points can win.  The greedy step evaluates windows of a few grid
+points around them, O(K) cells instead of the O(K G) matrix, with the
+same per-cell arithmetic, so its result is bit-identical to the full
+argmax.  Where rounding could flatten a slope into ties beyond a
+window, a rounding-error bound flags the state and its whole row is
+scanned (see `_greedy`).
 """
 
 from __future__ import annotations
@@ -35,9 +47,11 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-# Largest (K+1) x G problem from_config accepts: each greedy step holds several
-# float arrays of that many cells (2e7 cells is 160 MB apiece).
-_MAX_CELLS = 2 * 10**7
+# Largest capacity and price grid from_config accepts.  A greedy step holds a
+# few arrays of (K+1) x c candidate cells, c = 6 per special point per state
+# (12 for the reference models: ~1 KB per state), and a few of G cells.
+_MAX_CAPACITY = 10**6
+_MAX_PRICES = 10**6
 
 
 def _finite_real(x) -> bool:
@@ -115,13 +129,12 @@ class MdpSpec:
             c = cfg[key]
             if not (isinstance(c, list) and c and all(map(_finite_real, c))):
                 raise ValueError(f"{key} must be a non-empty list of finite numbers, got {c!r}")
-        k, g = int(cfg["capacity"]), int(cfg["price_points"])
-        if (k + 1) * g > _MAX_CELLS:
-            raise ValueError(f"capacity {k} and price_points {g} give (K+1) x G = {(k + 1) * g} "
-                             f"cells, above the limit of {_MAX_CELLS}")
+        for key, top in (("capacity", _MAX_CAPACITY), ("price_points", _MAX_PRICES)):
+            if cfg[key] > top:
+                raise ValueError(f"{key} {int(cfg[key])} is above the limit of {top}")
         rates = RateModel.from_polynomials(cfg["arrival"], cfg["departure"], cfg["p_max"])
-        grid = np.linspace(0.0, rates.p_max, g)
-        return cls(capacity=k, price_grid=grid, rates=rates)
+        grid = np.linspace(0.0, rates.p_max, int(cfg["price_points"]))
+        return cls(capacity=int(cfg["capacity"]), price_grid=grid, rates=rates)
 
     @cached_property
     def lam_grid(self) -> np.ndarray:
@@ -130,6 +143,35 @@ class MdpSpec:
     @cached_property
     def dlt_grid(self) -> np.ndarray:
         return self.rates.departure_rate(self.price_grid)
+
+    @cached_property
+    def _greedy_terms(self):
+        """What `_greedy` needs of the spec beyond the grids.
+
+        The candidates every state shares: the windows around the grid
+        ends and around each kink (the first index of a new run of
+        positive or zero clamped arrival rates), with their edges (column,
+        step) that face prices outside them.  The derivatives of the
+        arrival and departure polynomials as two coefficient rows.
+        Whether a zero-arrival run holds more than the null price.
+        sum |c_k| p_max^k of each rate polynomial, which bounds its
+        evaluation error over eps, and the larger of the two degrees.
+        """
+        lam, dlt = self.rates.arrival, self.rates.departure
+        pos = self.lam_grid > 0
+        G = len(pos)
+        kinks = np.flatnonzero(pos[1:] != pos[:-1]) + 1
+        fixed = np.unique(np.clip(np.r_[0, G, kinks][:, None] + _WINDOW, 0, G - 1))
+        beyond = fixed + np.array([[-1], [1]])
+        col, step = np.nonzero(((beyond >= 0) & (beyond < G) & ~np.isin(beyond, fixed)).T)
+        dl, dd = lam.deriv().coef, dlt.deriv().coef
+        slopes = np.zeros((2, max(len(dl), len(dd))))
+        slopes[0, : len(dl)], slopes[1, : len(dd)] = dl, dd
+        clamped = not pos[:-1].all()
+        p = abs(self.price_grid[-1])
+        rate_abs = [np.polynomial.polynomial.polyval(p, np.abs(c.coef)) for c in (lam, dlt)]
+        degree = max(len(lam.coef), len(dlt.coef)) - 1
+        return fixed, (col, 2 * step - 1), slopes, clamped, rate_abs, degree
 
 
 @dataclass(frozen=True)
@@ -211,21 +253,20 @@ def average_revenue(spec: MdpSpec, policy: Policy) -> float:
     return float(np.sum(pi * np.arange(spec.capacity + 1) * policy.prices))
 
 
-def _backup_matrix(h: np.ndarray, states: np.ndarray, prices: np.ndarray,
-                   lam_u: np.ndarray, dlt_u: np.ndarray) -> np.ndarray:
-    """Right side of the optimality equation for every (state, price) pair.
+def _backup(h: np.ndarray, states, prices, lam_u, dlt_u) -> np.ndarray:
+    """Right side of the optimality equation at gathered (state, price) pairs.
 
-    q[i, j] = n p + h_n + lam_u[j] (h_{n+1} - h_n) + dlt_u[j] (h_{n-1} - h_n)
-    for n = states[i] and p = prices[j], where lam_u and dlt_u are the
-    rates at those prices over U; h_{-1} = h_0 and h_{K+1} = h_K.
+    q = n p + h_n + lam_u (h_{n+1} - h_n) + dlt_u (h_{n-1} - h_n), elementwise
+    over the broadcast of n = states with the prices and lam_u, dlt_u (the
+    rates at those prices over U); h_{-1} = h_0 and h_{K+1} = h_K.
     """
     h_n = h[states]
     up = h[np.minimum(states + 1, len(h) - 1)] - h_n
     dn = h[np.maximum(states - 1, 0)] - h_n
-    q = np.multiply.outer(states, prices)
-    q += h_n[:, None]
-    q += np.multiply.outer(up, lam_u)
-    q += np.multiply.outer(dn, dlt_u)
+    q = states * prices
+    q += h_n
+    q += up * lam_u
+    q += dn * dlt_u
     return q
 
 
@@ -236,8 +277,8 @@ def bellman_backup(spec: MdpSpec, n: int, h: np.ndarray, p: float) -> float:
         raise IndexError(f"state {n} outside 0..{K}")
     u = uniformization_rate(spec)
     lam_u, dlt_u = spec.rates.arrival_rate(p) / u, spec.rates.departure_rate(p) / u
-    q = _backup_matrix(np.asarray(h, dtype=float), np.array([n]), np.array([p]), [lam_u], [dlt_u])
-    return float(q[0, 0])
+    q = _backup(np.asarray(h, dtype=float), np.array([n]), np.array([p]), lam_u, dlt_u)
+    return float(q[0])
 
 
 @dataclass(frozen=True)
@@ -260,14 +301,123 @@ class DpSolution:
             yield n, float(p), float(h)
 
 
+def _real_roots(coef: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row's polynomial (ascending coefficients),
+    NaN-padded to one column per degree of the widest row.
+
+    The roots are the eigenvalues of each row's companion matrix, batched
+    by trimmed degree: in closed form for degrees 1 and 2 (the matrix
+    entry; half the trace plus or minus the root of the discriminant), by
+    one `numpy.linalg.eigvals` call for each higher degree.  A leading
+    coefficient that is zero, or below 1e-100 of the row's largest (its
+    root then lies ~1e33 or more away), drops the row to a lower degree;
+    a row of zeros has no roots.  Every real part is kept: a near-double
+    root that rounding splits into a complex pair still marks its place.
+    """
+    width = coef.shape[1]
+    mag = np.abs(coef)
+    live = mag > 1e-100 * mag.max(axis=1, keepdims=True)
+    deg = (live * np.arange(width)).max(axis=1)
+    roots = np.full((len(coef), width - 1), np.nan)
+    for d in range(1, width):
+        rows = np.flatnonzero(deg == d)
+        c = coef[rows, :d] / coef[rows, d, None]  # monic: p^d + c[d-1] p^(d-1) + ... + c[0]
+        if d == 1:
+            roots[rows, 0] = -c[:, 0]
+        elif d == 2:
+            half = -0.5 * c[:, 1]
+            disc = half * half - c[:, 0]
+            big = half + np.copysign(np.sqrt(np.maximum(disc, 0.0)), half)
+            roots[rows, 0] = big
+            # the product of the roots over the larger one; unused (and maybe 0/0) where disc < 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                roots[rows, 1] = np.where(disc < 0.0, half, c[:, 0] / big)
+        elif len(rows):
+            comp = np.zeros((len(rows), d, d))
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, :, -1] = -c
+            roots[rows, :d] = np.linalg.eigvals(comp).real
+    return roots
+
+
+# candidate prices around a special point at grid index i (from searchsorted):
+# i-1 and i are the two grid points around it, one more on each side absorbs
+# root error, and the outermost two are the edges the certificate checks
+_WINDOW = np.arange(-3, 3)
+# most cells per block when rows that fail the certificate are scanned in full
+_FULL_ROW_CELLS = 1 << 20
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+
+
 def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy price index and backed-up value per state; ties go to the lowest
-    price, and the full state is pinned to the null price."""
-    states = np.arange(spec.capacity + 1)
-    q = _backup_matrix(h, states, spec.price_grid, spec.lam_grid / u, spec.dlt_grid / u)
-    idx = np.argmax(q, axis=1)
-    idx[-1] = len(spec.price_grid) - 1
-    return idx, q[states, idx]
+    price, and the full state is pinned to the null price.
+
+    Same result, bit for bit, as the argmax over the whole (K+1) x G backup
+    matrix, from a few candidate prices per state.  For state n the backup
+    is n p + h_n + a_n lam(p) + b_n dlt(p), with a_n, b_n the differences
+    of h to the neighbours over U: one polynomial in p on each run of grid
+    prices where the clamped arrival rate stays positive, another (without
+    the lam term) where it stays zero.  Between special points -- the grid
+    ends, the run boundaries and the critical points of either polynomial
+    -- the backup is strictly monotone on the grid, so a neighbour beats
+    every grid point but the two around a special point.  The candidates
+    are the window i-3..i+2 around each special point.
+
+    Rounding can still flatten a slope into a plateau of near-ties whose
+    lowest index the full argmax would return.  So each row is certified:
+    a window edge that faces unevaluated grid points must lie below the
+    row's best by more than twice a bound on the rounding error of q, so
+    that nothing on the monotone stretch beyond it reaches the best.  Rows
+    that fail are evaluated on the whole grid.
+    """
+    grid, K = spec.price_grid, spec.capacity
+    G = len(grid)
+    fixed, (fixed_edge, fixed_step), slopes, clamped, rate_abs, degree = spec._greedy_terms
+    lam_u, dlt_u = spec.lam_grid / u, spec.dlt_grid / u
+    dh = np.zeros(K + 2)
+    dh[1:-1] = np.diff(h) / u
+    a, b = dh[1:], -dh[:-1]  # (h_{n+1} - h_n)/U and (h_{n-1} - h_n)/U, zero past the ends
+    n = np.arange(K + 1)
+
+    coef = a[:, None] * slopes[0] + b[:, None] * slopes[1]
+    coef[:, 0] += n
+    points = [_real_roots(coef)]
+    if clamped:  # the critical points of the zero-arrival piece
+        coef = b[:, None] * slopes[1]
+        coef[:, 0] += n
+        points.append(_real_roots(coef))
+    win = np.searchsorted(grid, np.concatenate(points, axis=1))[:, :, None] + _WINDOW
+    f, w = len(fixed), win.shape[1] * len(_WINDOW)
+    cand = np.empty((K + 1, f + w), dtype=np.intp)
+    cand[:, :f] = fixed
+    cand[:, f:] = np.minimum(np.maximum(win, 0), G - 1).reshape(K + 1, -1)
+    cand[K] = G - 1
+
+    q = _backup(h, n[:, None], *np.stack([grid, lam_u, dlt_u])[:, cand])
+    best = q.max(axis=1)
+    idx = np.where(q == best[:, None], cand, G).min(axis=1)
+
+    # certificate: each window edge facing unevaluated prices must be clearly below the best
+    first = np.arange(f, f + w, len(_WINDOW))
+    edge = np.concatenate([fixed_edge, first, first + len(_WINDOW) - 1])
+    step = np.concatenate([fixed_step, np.repeat([-1, 1], len(first))])
+    # q is four roundings of sums of terms bounded by `scale`, two of which hold a
+    # Horner evaluation of degree d: |q - exact| <= (d + 4) eps scale, plus one
+    # subnormal spacing per rounding for underflow; one more eps for slack
+    scale = n * grid[-1] + np.abs(h) + np.abs(a) * rate_abs[0] + np.abs(b) * rate_abs[1]
+    err = (degree + 5) * (_EPS * scale + _TINY)
+    beyond = cand[:K, edge] + step
+    near = q[:K, edge] >= (best[:K] - 2 * err[:K])[:, None]
+    rows, cols = np.nonzero(near & (beyond >= 0) & (beyond < G))
+    if len(rows):  # certified after all if the price beyond the edge was evaluated
+        bad = np.unique(rows[~(cand[rows] == beyond[rows, cols][:, None]).any(axis=1)])
+        per = max(1, _FULL_ROW_CELLS // G)
+        for lo in range(0, len(bad), per):
+            r = bad[lo : lo + per]
+            full = _backup(h, r[:, None], grid, lam_u, dlt_u)
+            idx[r], best[r] = full.argmax(axis=1), full.max(axis=1)
+    return idx, best
 
 
 def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, np.ndarray]:
@@ -400,6 +550,7 @@ class StructureReport:
     h_concave: bool
     price_monotone: bool
     violations: list
+    worst_violation: float  # largest violation over its scale (see verify_structure); 0 if none
 
     def all_hold(self) -> bool:
         return self.h_monotone and self.h_concave and self.price_monotone
@@ -410,16 +561,22 @@ def verify_structure(sol: DpSolution, slack: float = 1e-9) -> StructureReport:
 
     Relative rewards must be non-decreasing and concave in the state,
     and the policy prices non-decreasing; `slack` absorbs float noise.
+    `worst_violation` is the largest breach relative to max(1, max|h|)
+    for the h properties and to max(1, max price) for the prices, so
+    rounding noise (~1e-16) reads apart from a real breach.
     """
     j = np.diff(sol.h)
-    viol = [("h_monotone", int(n)) for n in np.flatnonzero(j < -slack)]
-    viol += [("h_concave", int(n) + 1) for n in np.flatnonzero(np.diff(j) > slack)]
-    viol += [("price_monotone", int(n))
-             for n in np.flatnonzero(np.diff(sol.policy.prices) < -slack)]
+    h_scale = max(1.0, float(np.abs(sol.h).max()))
+    p_scale = max(1.0, float(np.abs(sol.policy.prices).max()))
+    # (kind, breach size per position, state offset, scale): a breach is a size above slack
+    checks = [("h_monotone", -j, 0, h_scale), ("h_concave", np.diff(j), 1, h_scale),
+              ("price_monotone", -np.diff(sol.policy.prices), 0, p_scale)]
+    viol = [(kind, int(n) + off) for kind, x, off, _ in checks for n in np.flatnonzero(x > slack)]
     kinds = {k for k, _ in viol}
     return StructureReport(
         h_monotone="h_monotone" not in kinds,
         h_concave="h_concave" not in kinds,
         price_monotone="price_monotone" not in kinds,
         violations=viol,
+        worst_violation=max(float((x[x > slack] / sc).max(initial=0.0)) for _, x, _, sc in checks),
     )

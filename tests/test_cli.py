@@ -239,6 +239,7 @@ def test_main_mdp_and_simulate(tmp_path):
     assert rc == 0
     saved = json.loads((tmp_path / "mdp_run.json").read_text())
     assert saved["meta"]["structure"]["price_monotone"]
+    assert saved["meta"]["structure"]["worst_violation"] == 0.0
     assert len(saved["rows"]) == 11
 
     out2 = tmp_path / "sim_run"
@@ -315,6 +316,7 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     ({"arrival": "24"}, "arrival"),
     ({"departure": [0.0, True]}, "departure"),
     ({"capacity": 19, "price_points": 1_000_001}, "price_points 1000001"),
+    ({"capacity": 1_000_001}, "capacity 1000001"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_main_mdp_config_checks(tmp_path, capsys, change, needle):

@@ -2,13 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spottransit import mdp
 from spottransit.mdp import (
     DpSolution,
     MdpSpec,
     Policy,
     RateModel,
     _evaluate_policy,
+    _greedy,
     average_revenue,
     bellman_backup,
     policy_iteration,
@@ -210,7 +214,7 @@ def test_rvi_k1_hand_value():
 def test_structure_checks_pass_on_reference_instance():
     sol = policy_iteration(make_spec([0.0, 0.3]))
     rep = verify_structure(sol)
-    assert rep.all_hold() and rep.violations == []
+    assert rep.all_hold() and rep.violations == [] and rep.worst_violation == 0.0
 
 
 def test_structure_negative_control():
@@ -221,6 +225,16 @@ def test_structure_negative_control():
     rep = verify_structure(broken)
     assert not rep.h_monotone
     assert ("h_monotone", 7) in rep.violations
+    assert rep.worst_violation >= 1.0 / max(1.0, np.abs(h).max())  # h_8 - h_7 = -1
+
+
+def test_structure_flags_at_large_capacity_are_rounding_noise():
+    # ulp-level second differences at |h| ~ 3e7 trip the absolute 1e-9 slack;
+    # their size relative to max|h| shows them as noise
+    sol = policy_iteration(make_spec([0.0, 0.3], capacity=3000))
+    rep = verify_structure(sol)
+    assert {kind for kind, _ in rep.violations} <= {"h_concave"}
+    assert rep.worst_violation < 1e-14
 
 
 def test_solvers_raise_instead_of_returning_unconverged():
@@ -272,12 +286,16 @@ def test_from_config():
 
 
 def test_from_config_bounds_problem_size():
+    # one bound per axis: the greedy step holds (K+1) x (a few) candidates and O(G) grids
     cfg = {"capacity": 19, "arrival": LAMBDA, "departure": [0.0, 0.3], "p_max": 4.0}
-    assert len(MdpSpec.from_config({**cfg, "price_points": 10**6}).price_grid) == 10**6  # 2e7 cells
+    assert len(MdpSpec.from_config({**cfg, "price_points": 10**6}).price_grid) == 10**6
+    assert MdpSpec.from_config({**cfg, "capacity": 10**6, "price_points": 2}).capacity == 10**6
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"capacity 19 and price_points 1000001"):
+        with pytest.raises(ValueError, match=r"price_points 1000001 is above the limit of 1000000"):
             MdpSpec.from_config({**cfg, "price_points": 10**6 + 1})
+        with pytest.raises(ValueError, match=r"capacity 1000001 is above the limit of 1000000"):
+            MdpSpec.from_config({**cfg, "capacity": 10**6 + 1, "price_points": 2})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,10 +365,179 @@ def test_policy_evaluation_rejects_two_closed_classes():
 def test_policy_iteration_scales_to_large_capacity():
     # a K-state policy embeds in the (K+1)-state chain by posting the null
     # price at state K, so the optimal revenue cannot fall as K grows
-    js = []
-    for k in (1000, 3000, 10000):
-        spec = make_spec([0.0, 0.3], capacity=k, n_prices=200)
-        sol = policy_iteration(spec)
-        assert sol.j_star == pytest.approx(average_revenue(spec, sol.policy), rel=1e-9)
-        js.append(sol.j_star)
-    assert js[0] <= js[1] <= js[2]
+    for sizes in [[(1000, 200), (3000, 200), (10000, 200)], [(10000, 1000), (100000, 1000)]]:
+        js = []
+        for k, g in sizes:
+            spec = make_spec([0.0, 0.3], capacity=k, n_prices=g)
+            sol = policy_iteration(spec)
+            assert sol.j_star == pytest.approx(average_revenue(spec, sol.policy), rel=1e-9)
+            js.append(sol.j_star)
+        assert js == sorted(js)
+
+
+def reference_greedy(spec, h, u):
+    """The greedy step as the argmax over the whole (K+1) x G backup matrix."""
+    states = np.arange(spec.capacity + 1)
+    h_n = h[states]
+    up = h[np.minimum(states + 1, len(h) - 1)] - h_n
+    dn = h[np.maximum(states - 1, 0)] - h_n
+    q = np.multiply.outer(states, spec.price_grid)
+    q += h_n[:, None]
+    q += np.multiply.outer(up, spec.lam_grid / u)
+    q += np.multiply.outer(dn, spec.dlt_grid / u)
+    idx = np.argmax(q, axis=1)
+    idx[-1] = len(spec.price_grid) - 1
+    return idx, q[states, idx]
+
+
+def _checked_greedy(spec, h, u):
+    idx, best = _greedy(spec, h, u)
+    ref_idx, ref_best = reference_greedy(spec, h, u)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(best, ref_best)
+    return idx, best
+
+
+def _assert_greedy_matches(spec, h):
+    return _checked_greedy(spec, np.asarray(h, dtype=float), uniformization_rate(spec))[0]
+
+
+@pytest.fixture
+def checked_greedy(monkeypatch):
+    """Compare every greedy step the solvers take with the full-matrix argmax."""
+    calls = []
+
+    def checked(spec, h, u):
+        calls.append(spec.capacity)
+        return _checked_greedy(spec, h, u)
+
+    monkeypatch.setattr(mdp, "_greedy", checked)
+    return calls
+
+
+@pytest.mark.parametrize("delta", [d for d, _ in TABLE])
+def test_greedy_matches_full_argmax_in_solvers(checked_greedy, delta):
+    for k in (10, 100, 1000):
+        policy_iteration(make_spec(delta, capacity=k))
+    for k in (10, 100):
+        relative_value_iteration(make_spec(delta, capacity=k))
+    assert len(checked_greedy) > 500 and set(checked_greedy) == {10, 100, 1000}
+
+
+def test_greedy_matches_full_argmax_edge_cases(checked_greedy):
+    rng = np.random.default_rng(83)
+    # degree-0 and degree-1 departure polynomials, K = 1, solved both ways
+    for delta in ([1.7], [0.5, 0.0], [0.0, 0.3], [0.2, 0.4]):
+        for k in (1, 7):
+            rates = RateModel.from_polynomials(LAMBDA, delta, 4.0)
+            spec = MdpSpec(k, np.linspace(0.0, 4.0, 97), rates)
+            policy_iteration(spec)
+            relative_value_iteration(spec)
+            for h in (np.zeros(k + 1), np.full(k + 1, -3.5e7), rng.normal(0, 50, k + 1)):
+                _assert_greedy_matches(spec, h)  # flat h: every slope but n p vanishes
+
+    # zero leading coefficients: h_{n-1} = h_n drops the cubic model's slope to degree 1,
+    # h_{n-1} = h_{n+1} cancels the 1.5 p^2 model's linear term
+    for delta, h in [([0.0, 0.0, 0.0, 0.3], [0, 0, 5, 5, 5, 9, 9, 12, 12, 12, 13]),
+                     ([0.0, 0.0, 1.5], [0, 4, 0, 4, 0, 4, 10, 4, 10, 30, 10])]:
+        spec = make_spec(delta, capacity=10, n_prices=500)
+        _assert_greedy_matches(spec, np.array(h, dtype=float) * 7.3)
+
+    # arrivals 12 - 3p vanish from p = 4 on a non-uniform grid over [0, 8]: with h peaked
+    # at state 4, that state posts an interior price of the clamped piece, a ceiling below K
+    rates = RateModel.from_polynomials([12.0, -3.0], [0.0, 0.0, 0.3], 8.0)
+    grid = np.sort(np.r_[0.0, 8.0, np.random.default_rng(5).uniform(0.0, 8.0, 300)])
+    spec = MdpSpec(10, grid, rates)
+    idx = _assert_greedy_matches(spec, -30.0 * (np.arange(11) - 4.0) ** 2)
+    assert 4.0 < grid[idx[4]] < 8.0
+    assert np.all(spec.lam_grid[idx[4:]] == 0.0)
+    policy_iteration(spec)
+    relative_value_iteration(spec)
+
+
+def test_greedy_plateau_regressions():
+    # rounding flattens a monotone backup into a run of ties away from every
+    # special point; the full argmax returns the run's lowest index
+    spec = MdpSpec(1, np.linspace(0.0, 1.0, 8),
+                   RateModel.from_polynomials([1.0, -3.0, 3.0, -1.0], [1.0], 1.0))
+    _assert_greedy_matches(spec, [0.0, -1.5e-323])  # subnormal slopes, found by the property test
+    spec = make_spec([0.0, 0.3], capacity=3)
+    idx = _assert_greedy_matches(spec, [1.0, 1.0 - 1e-15, 2.0, 3.0])  # q_0 = 1 - 1e-15 lam/U
+    assert idx[0] < len(spec.price_grid) - 3  # the tie run starts before the arrival root
+
+
+def test_greedy_step_memory_is_bounded():
+    spec = make_spec([0.0, 0.3], capacity=10**4, n_prices=10**4)
+    u = uniformization_rate(spec)
+    h = policy_iteration(make_spec([0.0, 0.3], capacity=10**4, n_prices=200)).h
+    tracemalloc.start()
+    try:
+        _greedy(spec, h, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (10**4 + 1) * 10**4 * 8 / 50  # the full matrix would be 800 MB
+
+
+_COEF = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+_H = st.floats(-1e8, 1e8)
+
+
+@st.composite
+def _rate_specs(draw):
+    """Arrivals a1 (r - p) + a3 (r - p)^3 (zero from r <= p_max on), departures
+    of degree 0 to 4 with non-negative coefficients, uniform or random grids."""
+    p_max = draw(st.sampled_from([1.0, 4.0, 7.5]))
+    r = draw(st.one_of(st.just(p_max), st.floats(0.05 * p_max, p_max)))
+    a1, a3 = draw(_COEF), draw(_COEF)
+    down = np.polynomial.Polynomial([r, -1.0])
+    lam = (a1 if a1 + a3 > 0 else 1.0) * down + a3 * down**3
+    beta = draw(st.lists(_COEF, min_size=1, max_size=5))
+    if not any(beta):
+        beta[-1] = 1.0
+    g = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, p_max, g)
+    else:
+        inner = draw(st.lists(st.floats(1e-6 * p_max, p_max, exclude_max=True),
+                              max_size=g, unique=True))
+        grid = np.array([0.0, *sorted(inner), p_max])
+    rates = RateModel(lam, np.polynomial.Polynomial(beta), p_max)
+    return MdpSpec(draw(st.integers(1, 12)), grid, rates)
+
+
+@st.composite
+def _h_vectors(draw, k):
+    """Free h, flat h, or h within a few steps of 1 ulp to 1e-6 of one value."""
+    kind = draw(st.sampled_from(["free", "flat", "near"]))
+    if kind == "free":
+        return np.array(draw(st.lists(_H, min_size=k + 1, max_size=k + 1)))
+    base = draw(_H)
+    if kind == "flat":
+        return np.full(k + 1, base)
+    steps = np.array(draw(st.lists(st.integers(-4, 4), min_size=k + 1, max_size=k + 1)))
+    return base + steps * draw(st.sampled_from([np.spacing(base), 1e-14, 1e-10, 1e-6]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_greedy_matches_full_argmax_property(data):
+    spec = data.draw(_rate_specs())
+    _assert_greedy_matches(spec, data.draw(_h_vectors(spec.capacity)))
+
+
+def test_real_roots_by_degree():
+    rows = np.array([
+        [0.0, 0.0, 0.0, 0.0],        # no roots
+        [2.0, 0.0, 0.0, 0.0],        # a non-zero constant: none either
+        [-3.0, 1.5, 0.0, 0.0],       # degree 1: 2
+        [2.0, -3.0, 1.0, 0.0],       # degree 2: 1, 2
+        [1.0, 0.0, 1.0, 0.0],        # +-i: real parts 0
+        [-6.0, 11.0, -6.0, 1.0],     # degree 3 (eigvals): 1, 2, 3
+        [-1.0, 1.0, 0.0, 1e-120],    # negligible leading coefficient: degree 1, root 1
+    ])
+    roots = mdp._real_roots(rows)
+    found = [np.sort(r[~np.isnan(r)]) for r in roots]
+    expect = [[], [], [2.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0, 3.0], [1.0]]
+    for got, want in zip(found, expect):
+        np.testing.assert_allclose(got, want, atol=1e-12)
