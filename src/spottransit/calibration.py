@@ -21,6 +21,7 @@ rejection (the reference m/p̄ sweep range dips into that territory).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,9 @@ class CalibrationInput:
     demand_source: str = "explicit"  # provenance label carried into reports
 
     def __post_init__(self):
+        for name in ("p_bar", "d_bar", "beta", "gamma", "alpha_bar", "mu", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p_bar > 0:
             raise ValueError(f"p_bar must be positive, got {self.p_bar}")
         if not self.d_bar > 0:
@@ -156,6 +160,12 @@ def derive_capacity_and_noise(inp: CalibrationInput) -> tuple[float, Uncertainty
     return capacity, noise
 
 
+def check_ratios(r_ratio: float, m_ratio: float):
+    """The cost ratio r/r̄ and the penalty ratio m/p̄ must be positive and finite."""
+    if not (0 < r_ratio < math.inf and 0 < m_ratio < math.inf):
+        raise ValueError(f"cost and penalty ratios must be positive and finite, got {r_ratio}, {m_ratio}")
+
+
 @dataclass(frozen=True)
 class CalibratedScenario:
     demand: DemandSpec
@@ -172,8 +182,7 @@ def calibrate(
     m_ratio: float = 1.0,
 ) -> CalibratedScenario:
     """Full scenario derivation under the typical-setting cost conventions."""
-    if not r_ratio > 0 or not m_ratio > 0:
-        raise ValueError("cost and penalty ratios must be positive")
+    check_ratios(r_ratio, m_ratio)
     r_bar = derive_regular_cost(inp)
     spot = derive_spot_demand(inp, kind)
     regular = derive_regular_demand(inp, kind)

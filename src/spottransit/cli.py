@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -89,10 +89,11 @@ def load_scenario(source) -> Scenario:
     betas = obj.get("beta", DEFAULT_BETAS)
     if not isinstance(betas, (list, tuple)):
         betas = [betas]
+    if not betas:
+        raise ValueError("scenario beta list is empty")
     r_ratio = float(obj.get("r_ratio", 0.5))
     m_ratio = float(obj.get("m_ratio", 1.0))
-    if r_ratio <= 0 or m_ratio <= 0:
-        raise ValueError("cost and penalty ratios must be positive")
+    calibration.check_ratios(r_ratio, m_ratio)
 
     return Scenario(
         label=obj.get("label", ixp.upper() if ixp else "scenario"),
@@ -271,7 +272,6 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
     spec = mdp.MdpSpec.from_config(cfg)
     solve = mdp.policy_iteration if algorithm == "pi" else mdp.relative_value_iteration
     sol = solve(spec, tol=tol)
-    structure = mdp.verify_structure(sol)
     meta = {
         "command": "mdp",
         "algorithm": algorithm,
@@ -279,13 +279,7 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
         "price_points": len(spec.price_grid),
         "j_star": sol.j_star,
         "iterations": sol.iterations,
-        "structure": {
-            "h_monotone": structure.h_monotone,
-            "h_concave": structure.h_concave,
-            "price_monotone": structure.price_monotone,
-            "violations": structure.violations,
-            "worst_violation": structure.worst_violation,
-        },
+        "structure": asdict(mdp.verify_structure(sol)),
     }
     rows = [{"state": n, "price": p, "h": h} for n, p, h in sol.csv_rows()]
     return meta, rows, ["state", "price", "h"], spec, sol

@@ -5,7 +5,11 @@ state n the seller posts a price p_n; demand arrives as a Poisson
 process with rate ``arrival(p)`` (clamped at zero, and zero at the null
 price p_max) and departs with rate ``departure(p)``.  Revenue accrues
 at rate n * p_n.  Full capacity forces the null price, so the chain
-never overflows; the empty state has nothing to depart.
+never overflows; the empty state has nothing to depart.  The spec only
+asks arrival(p_max) to be 0 within 1e-9 of the largest rate, so one
+gather of per-state rates (`policy_rates`) also zeroes the full state's
+arrivals; policy evaluation, the stationary law and the simulator all
+take the chain's rates from it.
 
 Uniformizing with U = max over the price grid of arrival + departure
 turns the chain into a discrete-time one whose optimality equations are
@@ -52,6 +56,8 @@ from scipy.special import logsumexp
 # (12 for the reference models: ~1 KB per state), and a few of G cells.
 _MAX_CAPACITY = 10**6
 _MAX_PRICES = 10**6
+# weight of the new iterate in relative value iteration's averaging step
+_DAMPING = 0.5
 
 
 def _finite_real(x) -> bool:
@@ -207,12 +213,18 @@ def uniformization_rate(spec: MdpSpec) -> float:
     return u
 
 
-def policy_rates(spec: MdpSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Effective per-state (arrival, departure) rates; no departure from state 0."""
-    idx = validate_policy(spec, policy)
+def _chain_rates(spec: MdpSpec, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state (arrival, departure) rates of the chain posting grid price idx[n]
+    at state n: nothing departs the empty state and nothing arrives at the full one."""
     lam, dlt = spec.lam_grid[idx], spec.dlt_grid[idx]
-    dlt[0] = 0.0
+    dlt[0] = lam[-1] = 0.0
     return lam, dlt
+
+
+def policy_rates(spec: MdpSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Effective per-state (arrival, departure) rates of the policy's chain:
+    none departs state 0 and none arrives at the full state K."""
+    return _chain_rates(spec, validate_policy(spec, policy))
 
 
 def _stationary_law(lam: np.ndarray, dlt: np.ndarray) -> tuple[np.ndarray, int]:
@@ -432,8 +444,7 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
     """
     K = spec.capacity
     states, prices = np.arange(K + 1), spec.price_grid[idx]
-    lam, dlt = spec.lam_grid[idx], spec.dlt_grid[idx]
-    dlt[0] = lam[K] = 0.0  # nothing departs the empty state or arrives at the full one
+    lam, dlt = _chain_rates(spec, idx)
     pi, n_hi = _stationary_law(lam, dlt)
     if np.any(dlt[n_hi + 1 :] <= 0.0):
         raise RuntimeError("policy has two closed classes; its average reward is not unique")
@@ -505,9 +516,7 @@ def _bellman_residual(spec: MdpSpec, j: float, h: np.ndarray, u: float) -> float
     return float(np.max(np.abs(j + h - best)))
 
 
-def relative_value_iteration(
-    spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200_000, damping: float = 0.5
-) -> DpSolution:
+def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200_000) -> DpSolution:
     """Value iteration on relative rewards with a span-seminorm stopping rule.
 
     Stops when span(Th - h) <= tol * max(1, |J|); the optimal average
@@ -518,8 +527,6 @@ def relative_value_iteration(
     """
     if not np.any(spec.lam_grid > 0):
         return _no_demand_solution(spec)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
     u = uniformization_rate(spec)
     K = spec.capacity
     h = np.zeros(K + 1)
@@ -531,7 +538,7 @@ def relative_value_iteration(
         if hi - lo <= tol * max(1.0, abs(j)):
             h = w - w[K]
             break
-        h = (1.0 - damping) * h + damping * (w - w[K])  # keep h_K = 0
+        h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])  # keep h_K = 0
     else:
         raise RuntimeError(f"relative value iteration did not reach span {tol} in {max_iter} sweeps")
 

@@ -12,10 +12,13 @@ derivative has the closed form
     E'[R(p)] = d(p) + d'(p) (p - r - m Pr(eps > C - d(p)))
 
 and the optimizer locates the unique stationary point by bracketing a
-sign change of E' and bisecting.  If no sign change exists in the
-bracket (degenerate parameters aside, this can only happen when the
-profit is monotone), a golden-section pass over the same bracket is
-used instead; quasiconcavity makes both routes exact.
+sign change of E' and bisecting.  In exact arithmetic E' < 0 at the
+bracket's upper end, but at large prices d'(p) can underflow to 0, so
+that E' there reads 0.0 (or d(p) > 0 when only the slope underflows) and
+no sign change shows.  A golden-section pass over the same bracket then
+maximizes the profit itself; quasiconcavity makes both routes exact.
+Both searches stop at an absolute bracket width of 1e-10, or earlier
+when the bracket spans adjacent doubles and can no longer shrink.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import DemandSpec
+from .record import Record
 from .uncertainty import UncertaintyModel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# absolute bracket width at which the price search stops; from about 5e5 $/Mbps up
+# adjacent doubles lie farther apart, so the search also stops when it cannot shrink
+_PRICE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class StaticSolution:
+class StaticSolution(Record):
     """Solved spot price and its profit decomposition."""
 
     p_star: float
@@ -65,16 +72,6 @@ class StaticSolution:
     overflow_loss: float
     overflow_probability: float
     elasticity_at_opt: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p_star": self.p_star,
-            "expected_profit": self.expected_profit,
-            "risk_free_profit": self.risk_free_profit,
-            "overflow_loss": self.overflow_loss,
-            "overflow_probability": self.overflow_probability,
-            "elasticity_at_opt": self.elasticity_at_opt,
-        }
 
 
 def validate_market(d: DemandSpec, u: UncertaintyModel, mp: MarketParams):
@@ -99,12 +96,12 @@ def profit_derivative(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
     return dem + d.slope(p) * (np.asarray(p, dtype=float) - mp.r - mp.m * tail)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     dd = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(dd)
-    while b - a > tol:
+    while b - a > _PRICE_TOL and a < c < dd < b:
         if fc >= fd:
             b, dd, fd = dd, c, fc
             c = b - _GOLDEN * (b - a)
@@ -116,12 +113,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def optimize_price(
-    d: DemandSpec,
-    u: UncertaintyModel,
-    mp: MarketParams,
-    price_tol: float = 1e-10,
-) -> StaticSolution:
+def optimize_price(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> StaticSolution:
     """Solve for the unique profit-maximizing spot price.
 
     Raises ValueError when the market assumptions fail or when no
@@ -144,17 +136,19 @@ def optimize_price(
     if f_hi < 0:
         # bisect the sign change of E'
         a, b = lo, hi
-        while b - a > price_tol:
+        while b - a > _PRICE_TOL:
             mid = 0.5 * (a + b)
+            if not a < mid < b:  # adjacent doubles
+                break
             if f(mid) > 0:
                 a = mid
             else:
                 b = mid
         p_star = 0.5 * (a + b)
     else:
-        # no sign change: quasiconcavity says the maximum is interior or at an edge
-        p_star = _golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi, price_tol)
-        if hi - p_star <= 2.0 * price_tol or p_star - lo <= 2.0 * price_tol:
+        # no sign change (E'(hi) underflowed): maximize the quasiconcave profit itself
+        p_star = _golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
+        if hi - p_star <= 2.0 * _PRICE_TOL or p_star - lo <= 2.0 * _PRICE_TOL:
             raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
 
     dem = d.demand(p_star)
@@ -186,19 +180,12 @@ def regular_price(d_bar: DemandSpec, r_bar: float) -> float:
 
 
 @dataclass(frozen=True)
-class PriceAdvantage:
+class PriceAdvantage(Record):
     """Sufficient-condition check for the spot price undercutting the regular price."""
 
     condition_holds: bool
     discount_observed: bool
     bound_value: float  # cost ceiling: r̄ - m (1 - 1/σ(p*)) * tail bound
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_holds": self.condition_holds,
-            "discount_observed": self.discount_observed,
-            "bound_value": self.bound_value,
-        }
 
 
 def check_price_advantage(

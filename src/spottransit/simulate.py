@@ -1,13 +1,15 @@
 """Continuous-time Monte Carlo check of the dynamic-pricing math.
 
 Simulates the birth-death utilization chain under a fixed pricing
-policy: sojourns are exponential with the state's total rate, revenue
-accrues continuously at n * p_n, and the post-warmup horizon is split
-into equal-time batches whose means give the standard errors.  The
-estimates are compared against the product-form steady state and the
-analytic average revenue; agreement within three standard errors (and
-a small total-variation distance on occupancy) validates both codes
-against each other since they share no computation.
+policy, with the per-state rates of `mdp.policy_rates` (nothing departs
+the empty state, nothing arrives at the full one): sojourns are
+exponential with the state's total rate, revenue accrues continuously
+at n * p_n, and the post-warmup horizon is split into equal-time
+batches whose means give the standard errors.  The estimates are
+compared against the product-form steady state and the analytic average
+revenue; agreement within three standard errors (and a small
+total-variation distance on occupancy) validates both codes against
+each other since they share nothing but those rates.
 
 The chain is stepped in blocks of draws rather than one event at a time.
 A plain Python loop over one sub-chunk of uniforms yields the state path
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MdpSpec, Policy, average_revenue, policy_rates, steady_state
+from .record import Record
 
 # Philox draws come in blocks of _BLOCK exponentials, then _BLOCK uniforms.  The
 # block size fixes the random stream: changing it changes every seeded result.
@@ -59,23 +62,13 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     revenue_rate_estimate: float
     revenue_rate_stderr: float
     occupancy: np.ndarray
     occupancy_stderr: np.ndarray
     transitions: int
     stuck_state: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "revenue_rate_estimate": self.revenue_rate_estimate,
-            "revenue_rate_stderr": self.revenue_rate_stderr,
-            "occupancy": [float(x) for x in self.occupancy],
-            "occupancy_stderr": [float(x) for x in self.occupancy_stderr],
-            "transitions": self.transitions,
-            "stuck_state": self.stuck_state,
-        }
 
 
 def simulate_policy(cfg: SimConfig) -> SimResult:
@@ -175,21 +168,12 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     revenue_z: float
     occupancy_z: np.ndarray
     tv_distance: float
     analytic_revenue: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "revenue_z": self.revenue_z,
-            "occupancy_z": [float(z) for z in self.occupancy_z],
-            "tv_distance": self.tv_distance,
-            "analytic_revenue": self.analytic_revenue,
-            "passed": self.passed,
-        }
 
 
 def _z(diff: float, stderr: float) -> float:

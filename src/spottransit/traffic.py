@@ -23,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri  # standard normal quantile
 
+from .record import Record
+
+_DEFAULT_STEP = 300.0  # seconds: the 5-minute billing sample
+
 
 @dataclass
 class TrafficSeries:
@@ -42,8 +46,12 @@ class TrafficSeries:
         return len(self.values)
 
 
-def load_series(path, default_step: float = 300.0) -> TrafficSeries:
-    """Parse a traffic CSV; restore missing slots by linear interpolation."""
+def load_series(path) -> TrafficSeries:
+    """Parse a traffic CSV; restore missing slots by linear interpolation.
+
+    The step is the ``step=`` directive if there is one, else the smallest
+    timestamp spacing, else 300 s (bare values or a single timestamped row).
+    """
     rows = []
     step_directive = None
     with open(path) as fh:
@@ -76,8 +84,8 @@ def load_series(path, default_step: float = 300.0) -> TrafficSeries:
         raise ValueError(f"{path}: no samples found")
 
     timestamps = [ts for ts, _ in rows]
+    step = _DEFAULT_STEP if step_directive is None else step_directive
     if all(ts is None for ts in timestamps):
-        step = step_directive if step_directive is not None else default_step
         return TrafficSeries(0.0, step, np.array([g for _, g in rows]))
     if any(ts is None for ts in timestamps):
         raise ValueError(f"{path}: mixed bare and timestamped rows")
@@ -89,9 +97,10 @@ def load_series(path, default_step: float = 300.0) -> TrafficSeries:
         bad = int(np.argmax(diffs <= 0)) + 2
         raise ValueError(f"{path}: timestamps not strictly increasing near line {bad}")
     if len(ts) == 1:
-        return TrafficSeries(ts[0], step_directive or default_step, vals)
+        return TrafficSeries(ts[0], step, vals)
 
-    step = step_directive if step_directive is not None else float(diffs.min())
+    if step_directive is None:
+        step = float(diffs.min())
     ratio = diffs / step
     if np.any(np.abs(ratio - np.round(ratio)) > 1e-6):
         raise ValueError(f"{path}: sample spacing is not a multiple of the step {step}")
@@ -136,21 +145,12 @@ def predict_persistence(s: TrafficSeries, window: float = 604800.0) -> TrafficSe
 
 
 @dataclass
-class PredictionReport:
+class PredictionReport(Record):
     residual_mean: float
     residual_sd: float
     residual_count: int
     qq_points: np.ndarray  # (k, 2): theoretical normal quantile, sample quantile
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "residual_mean": self.residual_mean,
-            "residual_sd": self.residual_sd,
-            "residual_count": self.residual_count,
-            "degenerate": self.degenerate,
-            "qq_points": [[float(a), float(b)] for a, b in self.qq_points],
-        }
 
 
 def prediction_errors(s: TrafficSeries, window: float = 604800.0) -> PredictionReport:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF, array-aware
 
+from .record import Record
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -27,7 +29,7 @@ def _phi(z):
 
 
 @dataclass(frozen=True)
-class UncertaintyModel:
+class UncertaintyModel(Record):
     """Truncated-Gaussian noise with nominal mean mu and sd theta (Gbps).
 
     ``a`` and ``b`` default to mu -/+ 3*theta.  They are stored
@@ -111,9 +113,6 @@ class UncertaintyModel:
         var = self.theta**2
         out = var / (var + np.square(t - self.mu))
         return float(out) if out.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "theta": self.theta, "a": self.a, "b": self.b}
 
 
 def uncertainty_from_dict(obj: dict) -> UncertaintyModel:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .demand import DemandSpec, DivergentSurplusError  # noqa: F401  (re-exported)
 from .pricing import MarketParams, StaticSolution, expected_profit
+from .record import Record
 from .uncertainty import UncertaintyModel
 
 
@@ -38,7 +39,7 @@ def social_welfare(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: floa
 
 
 @dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(Record):
     surplus_spot: float
     surplus_regular: float
     profit_spot: float
@@ -49,25 +50,6 @@ class WelfareReport:
     surplus_improvement_pct: float
     profit_gain_abs: float
     surplus_gain_abs: float
-
-    FIELDS = (
-        "surplus_spot",
-        "surplus_regular",
-        "profit_spot",
-        "profit_regular",
-        "welfare_spot",
-        "welfare_regular",
-        "profit_improvement_pct",
-        "surplus_improvement_pct",
-        "profit_gain_abs",
-        "surplus_gain_abs",
-    )
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def csv_row(self) -> list[float]:
-        return [getattr(self, name) for name in self.FIELDS]
 
 
 def welfare_report(

@@ -15,6 +15,7 @@ from spottransit.cli import (
     load_scenario,
     main,
 )
+from spottransit.mdp import MdpSpec, policy_iteration, policy_rates
 
 LINX_SCENARIO = {"ixp": "linx", "kind": "iso", "beta": [0.2, 0.5, 0.7]}
 
@@ -295,6 +296,20 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     assert not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "static"])
+@pytest.mark.parametrize("change,needle", [
+    *[({key: float("inf")}, key) for key in ("p_bar", "d_bar", "gamma", "alpha_bar")],
+    *[({key: float("inf")}, "ratios") for key in ("r_ratio", "m_ratio")],
+    ({"beta": []}, "beta"),
+])
+def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, change, needle):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"ixp": "linx", "beta": 0.5, **change}))
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), command], capsys)
+    assert needle in line
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("change,needle", [
     ({"arrival": "absent"}, "arrival"),
     ({"p_max": None}, "p_max"),
@@ -339,6 +354,21 @@ def test_main_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon, war
             "--horizon", horizon, "--seed", "1"]
     line = _run_error(argv + (["--warmup", warmup] if warmup else []), capsys)
     assert "finite" in line
+
+
+def test_main_simulate_admits_nothing_at_the_full_state(tmp_path):
+    # arrival(p_max) = 8e-4 passes the spec's slack of 1e-9 of the largest rate (1e6)
+    cfg = {"capacity": 2, "arrival": [1000000.0, -249999.9998], "departure": [0.0, 0.001],
+           "p_max": 4.0, "price_points": 50}
+    spec = MdpSpec.from_config(cfg)
+    assert spec.lam_grid[-1] > 0
+    assert policy_rates(spec, policy_iteration(spec).policy)[0][-1] == 0.0
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--out", str(tmp_path / "sim"), "simulate", "--config", str(path),
+            "--horizon", "1000", "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "sim.json").read_text())["meta"]["passed"] is True
 
 
 def test_main_predict_csv(tmp_path):

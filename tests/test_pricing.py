@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spottransit
 from oracles import profit_grid, profit_quadrature, random_instance
 from spottransit.demand import IsoElasticDemand, LinearDemand
 from spottransit.pricing import (
@@ -261,3 +268,48 @@ def test_solution_serialization():
         "elasticity_at_opt",
     }
     assert d["p_star"] == sol.p_star
+
+
+def _run_isolated(code: str) -> str:
+    """Stdout of code run in a fresh interpreter, so that a search that never
+    ends fails the test on its timeout instead of hanging the suite."""
+    src = str(Path(spottransit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    return run.stdout
+
+
+def test_search_stops_when_doubles_are_wider_than_the_tolerance():
+    # above ~5e5 $/Mbps no bracket is 1e-10 wide; the iso price ratio does not depend on scale
+    code = """if True:
+        import json
+        from spottransit.cli import cmd_static, load_scenario
+        ratios = [cmd_static(load_scenario({"p_bar": p, "d_bar": 100.0, "theta": 1.0,
+                                            "beta": 0.5}))[1][0]["price_ratio"]
+                  for p in (7.5, 1e6, 1e9)]
+        print(json.dumps(ratios))
+    """
+    base, *large = json.loads(_run_isolated(code))
+    for ratio in large:
+        assert ratio == pytest.approx(base, rel=1e-9)
+
+    code = """if True:
+        from spottransit.demand import IsoElasticDemand
+        from spottransit.pricing import MarketParams, optimize_price
+        from spottransit.uncertainty import UncertaintyModel
+        sol = optimize_price(IsoElasticDemand(100.0, 1.0 + 1e-6), UncertaintyModel(0.0, 1.0),
+                             MarketParams(r=1.0, m=0.0, capacity=50.0))
+        print(repr(sol.p_star))
+    """
+    alpha = 1.0 + 1e-6
+    assert float(_run_isolated(code)) == pytest.approx(alpha / (alpha - 1.0), rel=1e-6)
+
+
+def test_golden_section_fallback_when_the_slope_underflows():
+    # d'(p) underflows to 0 at the upper bracket, so E' shows no sign change there;
+    # bisecting [lo, hi] anyway ends near 3e6, the true optimum is alpha r / (alpha - 1)
+    d, u = IsoElasticDemand(100.0, 50.0), UncertaintyModel(0.0, 1.0)
+    mp = MarketParams(r=1.0, m=1e16, capacity=50.0)
+    assert profit_derivative(d, u, mp, d.upper_bracket(mp.r, mp.m)) >= 0
+    assert optimize_price(d, u, mp).p_star == pytest.approx(50.0 / 49.0, rel=1e-9)

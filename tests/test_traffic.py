@@ -65,6 +65,10 @@ def test_load_rejects_negative_and_empty(tmp_path):
 def test_load_bare_column_with_step_directive(tmp_path):
     s = load_series(write(tmp_path, "# step=60\n1.0\n2.0\n3.0\n"))
     assert s.step == 60.0 and len(s) == 3
+    # one rule for every layout: a directive, even a bad one, is never replaced by the default
+    assert load_series(write(tmp_path, "# step=60\n600,1.0\n")).step == 60.0
+    with pytest.raises(ValueError, match="step"):
+        load_series(write(tmp_path, "# step=0\n600,1.0\n"))
 
 
 def test_percentile_nearest_rank():

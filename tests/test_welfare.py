@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -159,5 +160,5 @@ def test_report_serialization():
     sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
     rep = welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
     d = rep.to_dict()
-    assert list(d) == list(rep.FIELDS)
-    assert rep.csv_row() == [d[k] for k in rep.FIELDS]
+    assert list(d) == [f.name for f in dataclasses.fields(rep)]
+    assert list(d.values()) == [getattr(rep, k) for k in d]
