@@ -43,6 +43,7 @@ from .pricing import (
     check_price_advantage,
     expected_profit,
     optimize_price,
+    optimize_prices,
     profit_derivative,
     regular_price,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -49,6 +50,13 @@ class Scenario:
     m_ratio: float
 
 
+def _number(key: str, value) -> float:
+    """A scenario value as a float; anything but a number is refused, naming its key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"scenario {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_scenario(source) -> Scenario:
     """Accept a path to a scenario JSON file or an already-parsed dict."""
     if isinstance(source, dict):
@@ -56,14 +64,17 @@ def load_scenario(source) -> Scenario:
     else:
         with open(source) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"scenario {source} must hold a JSON object")
 
     kind = obj.get("kind", "iso")
     demand_family(kind)  # reject an unknown family before anything is solved
 
     ixp = obj.get("ixp")
-    fields = {"gamma": float(obj.get("gamma", 1.25)), "alpha_bar": float(obj.get("alpha_bar", 2.0))}
+    fields = {key: _number(key, obj.get(key, default))
+              for key, default in (("gamma", 1.25), ("alpha_bar", 2.0))}
     if obj.get("p_bar") is not None:
-        fields["p_bar"] = float(obj["p_bar"])
+        fields["p_bar"] = _number("p_bar", obj["p_bar"])
     elif obj.get("region"):
         fields["p_bar"] = calibration.region_price(obj["region"])
     elif not ixp:
@@ -74,14 +85,14 @@ def load_scenario(source) -> Scenario:
         raise ValueError("scenario needs exactly one demand-scale source (trace or d_bar)")
     for key in ("mu", "theta"):
         if obj.get(key) is not None:
-            fields[key] = float(obj[key])
+            fields[key] = _number(key, obj[key])
     if sources == ["trace"]:
         series = traffic.load_series(obj["trace"])
         report = traffic.prediction_errors(series)
         fields.update(d_bar=traffic.percentile_95(series), mu=report.residual_mean,
                       theta=report.residual_sd, demand_source=f"trace p95 ({obj['trace']})")
     elif sources == ["d_bar"]:
-        fields.update(d_bar=float(obj["d_bar"]), demand_source="explicit")
+        fields.update(d_bar=_number("d_bar", obj["d_bar"]), demand_source="explicit")
     # an IXP supplies its region price, noise and the 0.9*peak demand proxy
     inp = (replace(calibration.ixp_input(ixp), **fields) if ixp
            else calibration.CalibrationInput(**fields))
@@ -91,14 +102,14 @@ def load_scenario(source) -> Scenario:
         betas = [betas]
     if not betas:
         raise ValueError("scenario beta list is empty")
-    r_ratio = float(obj.get("r_ratio", 0.5))
-    m_ratio = float(obj.get("m_ratio", 1.0))
+    r_ratio = _number("r_ratio", obj.get("r_ratio", 0.5))
+    m_ratio = _number("m_ratio", obj.get("m_ratio", 1.0))
     calibration.check_ratios(r_ratio, m_ratio)
 
     return Scenario(
         label=obj.get("label", ixp.upper() if ixp else "scenario"),
         inp=inp,
-        betas=[float(b) for b in betas],
+        betas=[_number("beta", b) for b in betas],
         kind=kind,
         r_ratio=r_ratio,
         m_ratio=m_ratio,
@@ -114,16 +125,46 @@ def _calibrate_point(scn: Scenario, beta: float, gamma: float = None, **ratios):
     )
 
 
-def _solve_point(scn: Scenario, beta: float, **overrides) -> dict:
-    """Calibrate and solve one grid point; returns a flat result row."""
-    point, scen = _calibrate_point(scn, beta, **overrides)
-    sol = pricing.optimize_price(scen.demand, scen.uncertainty, scen.market)
+def _solve_points(scn: Scenario, points) -> list:
+    """Result row, or the error, of each (beta, overrides) grid point.
+
+    The points are calibrated in order, all calibrated points are priced in
+    one batch solve, and each solved point gets its own welfare report.
+    """
+    results = []
+    for beta, overrides in points:
+        try:
+            results.append(_calibrate_point(scn, beta, **overrides))
+        except (ValueError, RuntimeError) as exc:
+            results.append(exc)
+    todo = [k for k, res in enumerate(results) if not isinstance(res, Exception)]
+    scens = [results[k][1] for k in todo]
+    sols = pricing.optimize_prices([(s.demand, s.uncertainty, s.market) for s in scens])
+    for k, sol in zip(todo, sols):
+        try:
+            results[k] = sol if isinstance(sol, Exception) else _result_row(*results[k], sol)
+        except (ValueError, RuntimeError) as exc:
+            results[k] = exc
+    return results
+
+
+def _all_rows(results: list) -> list:
+    """The rows of a command that fails with its first failing point's error."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
+def _result_row(point: Scenario, scen: calibration.CalibratedScenario,
+                sol: pricing.StaticSolution) -> dict:
+    """Flat result row of one solved grid point."""
     rep = welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
     p_bar = point.inp.p_bar
     row = {
         "label": point.label,
         "kind": point.kind,
-        "beta": beta,
+        "beta": point.inp.beta,
         "gamma": point.inp.gamma,
         "r_ratio": point.r_ratio,
         "m_ratio": point.m_ratio,
@@ -182,7 +223,7 @@ def cmd_calibrate(scn: Scenario):
 
 
 def cmd_static(scn: Scenario):
-    rows = [_solve_point(scn, beta) for beta in scn.betas]
+    rows = _all_rows(_solve_points(scn, [(beta, {}) for beta in scn.betas]))
     return {"command": "static", "dollar_note": DOLLAR_NOTE}, rows, STATIC_COLUMNS
 
 
@@ -191,18 +232,17 @@ def cmd_sweep(scn: Scenario, param: str, values=None):
     if param not in SWEEP_DEFAULTS:
         raise ValueError(f"sweep parameter must be one of {sorted(SWEEP_DEFAULTS)}, got {param}")
     values = SWEEP_DEFAULTS[param] if values is None else list(values)
+    grid = [(value, beta) for value in values
+            for beta in ([value] if param == "beta" else scn.betas)]
+    results = _solve_points(
+        scn, [(beta, {} if param == "beta" else {param: value}) for value, beta in grid])
     rows = []
-    for value in values:
-        betas, overrides = ([value], {}) if param == "beta" else (scn.betas, {param: value})
-        for beta in betas:
-            try:
-                row = _solve_point(scn, beta, **overrides)
-            except (ValueError, RuntimeError) as exc:
-                row = {"label": scn.label, "kind": scn.kind, "beta": beta,
-                       "sweep_param": param, "sweep_value": value, "error": str(exc)}
-            else:
-                row.update(sweep_param=param, sweep_value=value)
-            rows.append(row)
+    for (value, beta), res in zip(grid, results):
+        if isinstance(res, Exception):
+            rows.append({"label": scn.label, "kind": scn.kind, "beta": beta,
+                         "sweep_param": param, "sweep_value": value, "error": str(res)})
+        else:
+            rows.append(dict(res, sweep_param=param, sweep_value=value))
 
     summary = {}
     for beta in sorted({r["beta"] for r in rows}):
@@ -221,13 +261,12 @@ WORST_CASE = {"r_ratio": 0.9, "m_ratio": 1.5, "gamma": 1.1}
 
 def cmd_worst_case(scn: Scenario):
     """High cost, high penalty, low elasticity; floor violations are findings."""
-    rows = []
+    rows = _all_rows(_solve_points(scn, [(beta, WORST_CASE) for beta in scn.betas]))
     findings = []
     surplus_floor = 5.0 if scn.kind == "iso" else 60.0
-    for beta in scn.betas:
-        row = _solve_point(scn, beta, **WORST_CASE)
+    for row in rows:
+        beta = row["beta"]
         row["sweep_param"] = "worst_case"
-        rows.append(row)
         checks = {
             "spot_below_regular": row["p_star"] < scn.inp.p_bar,
             "profit_improvement_min_10pct": row["profit_improvement_pct"] >= 10.0,
@@ -245,6 +284,11 @@ def cmd_worst_case(scn: Scenario):
     return meta, rows, columns
 
 
+def _scalar_fields(record, skip=()) -> dict:
+    """A result record's non-array fields, in field order, for a report's meta."""
+    return {k: v for k, v in record.to_dict().items() if not isinstance(v, list) and k not in skip}
+
+
 def cmd_predict(trace_path: str, window: float):
     series = traffic.load_series(trace_path)
     report = traffic.prediction_errors(series, window)
@@ -256,10 +300,7 @@ def cmd_predict(trace_path: str, window: float):
         "gaps_filled": series.gaps_filled,
         "window_seconds": window,
         "percentile_95": traffic.percentile_95(series),
-        "residual_mean": report.residual_mean,
-        "residual_sd": report.residual_sd,
-        "residual_count": report.residual_count,
-        "degenerate": report.degenerate,
+        **_scalar_fields(report),
     }
     rows = [{"theoretical_quantile": float(a), "sample_quantile": float(b)}
             for a, b in report.qq_points]
@@ -296,13 +337,9 @@ def cmd_simulate(config_path: str, horizon: float, warmup, seed: int):
         "horizon": horizon,
         "warmup": cfg.warmup,
         "j_star": sol.j_star,
-        "revenue_rate_estimate": result.revenue_rate_estimate,
-        "revenue_rate_stderr": result.revenue_rate_stderr,
-        "transitions": result.transitions,
-        "stuck_state": result.stuck_state,
-        "revenue_z": report.revenue_z,
-        "tv_distance": report.tv_distance,
-        "passed": report.passed,
+        **_scalar_fields(result),
+        # the policy's analytic revenue rate is j_star above
+        **_scalar_fields(report, skip=("analytic_revenue",)),
     }
     rows = [{"state": n, "occupancy": float(o), "steady_state": float(p)}
             for n, (o, p) in enumerate(zip(result.occupancy,

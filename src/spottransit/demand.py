@@ -42,6 +42,10 @@ class DemandSpec(Protocol):
     (p - r_bar) d(p), ``consumer_surplus(p)``, and ``calibrated(...)``: the curve
     through (p_bar, share * d_bar) with elasticity relative * alpha_bar at p_bar,
     where p_bar is the optimal price at the regular cost r_bar = p_bar (1 - 1/alpha_bar).
+
+    A family is a frozen dataclass whose fields are its numeric parameters.  The
+    batched static solve stacks many rows into one instance whose fields are arrays,
+    so ``demand``, ``slope`` and ``elasticity`` must also work elementwise there.
     """
 
     kind: ClassVar[str]  # registry key in FAMILIES and the "kind" of to_dict()

@@ -19,12 +19,25 @@ no sign change shows.  A golden-section pass over the same bracket then
 maximizes the profit itself; quasiconcavity makes both routes exact.
 Both searches stop at an absolute bracket width of 1e-10, or earlier
 when the bracket spans adjacent doubles and can no longer shrink.
+
+``optimize_prices`` solves a whole table at once, and ``optimize_price``
+is a table of one row.  Each row's bracket is checked on its own; the
+rows of one demand family are then stacked into a curve, noise model and
+market whose fields are arrays, and one bisection loop halves every
+bracket together.  A row stops by the rule above, by itself, while the
+others go on, so each row sees the midpoints a lone solve would see.
+The stacked E' and solution fields do per element what the scalar code
+does with the same IEEE operations (numpy ``power`` and scipy ``ndtr``
+give the same bits on arrays as on scalars), so the prices come out bit
+for bit as one row at a time.  A row whose E'(hi) shows no sign change
+runs the golden-section pass alone, and a row whose checks fail keeps its
+own error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,6 +133,55 @@ def optimize_price(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> Stat
     interior maximum exists in (r, upper bracket) -- both signal
     degenerate parameters rather than solver failure.
     """
+    (result,) = optimize_prices([(d, u, mp)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def optimize_prices(problems) -> list:
+    """Solve a table of (d, u, mp) problems at once.
+
+    Returns, per problem in order, its StaticSolution or the ValueError
+    that ``optimize_price`` raises for it.  Rows of one demand family are
+    priced together; one row's error never reaches another row.
+    """
+    out = [None] * len(problems)
+    families = {}
+    for i, (d, _, _) in enumerate(problems):
+        families.setdefault(type(d), []).append(i)
+    for rows in families.values():
+        _solve_rows(problems, rows, out)
+    return out
+
+
+def _solve_rows(problems, rows, out):
+    try:
+        _solve_stacked(problems, rows, out)
+    except ValueError as exc:
+        # a stacked evaluation raised for some row: solve each row alone
+        if len(rows) == 1:
+            out[rows[0]] = exc
+        else:
+            for i in rows:
+                _solve_rows(problems, [i], out)
+
+
+def _stack(problems, rows):
+    """The rows' (d, u, mp), each as one instance of its class whose fields are
+    arrays with one entry per row (None reads as nan).  The rows were checked when
+    they were built, so the stacks skip ``__init__``, whose checks take scalars."""
+    def stacked(objs):
+        out = object.__new__(type(objs[0]))
+        for f in fields(out):
+            column = np.array([getattr(o, f.name) for o in objs], dtype=float)
+            object.__setattr__(out, f.name, column)
+        return out
+
+    return tuple(stacked(objs) for objs in zip(*(problems[i] for i in rows)))
+
+
+def _bracket(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> tuple[float, float]:
     validate_market(d, u, mp)
     lo = mp.r * (1.0 + 1e-6)
     hi = d.upper_bracket(mp.r, mp.m)
@@ -127,41 +189,80 @@ def optimize_price(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> Stat
         raise ValueError(
             f"no price range above cost: r={mp.r} vs upper bracket {hi} (degenerate parameters)"
         )
+    return lo, hi
 
-    f = lambda p: profit_derivative(d, u, mp, p)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0:
-        raise ValueError("profit is non-increasing at the cost floor; degenerate parameters")
 
-    if f_hi < 0:
-        # bisect the sign change of E'
-        a, b = lo, hi
-        while b - a > _PRICE_TOL:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:  # adjacent doubles
-                break
-            if f(mid) > 0:
-                a = mid
-            else:
-                b = mid
-        p_star = 0.5 * (a + b)
-    else:
-        # no sign change (E'(hi) underflowed): maximize the quasiconcave profit itself
-        p_star = _golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
-        if hi - p_star <= 2.0 * _PRICE_TOL or p_star - lo <= 2.0 * _PRICE_TOL:
-            raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
+def _solve_stacked(problems, rows, out):
+    """Fill out[i] for the rows i, which share a demand family."""
+    live, lo, hi = [], [], []
+    for i in rows:
+        try:
+            a, b = _bracket(*problems[i])
+        except ValueError as exc:
+            out[i] = exc
+        else:
+            live.append(i)
+            lo.append(a)
+            hi.append(b)
+    if not live:
+        return
+    d, u, mp = _stack(problems, live)
+    f_lo = profit_derivative(d, u, mp, np.array(lo))
+    f_hi = profit_derivative(d, u, mp, np.array(hi))
 
-    dem = d.demand(p_star)
-    phi = (p_star - mp.r) * dem
+    p_star, sign_change = {}, []
+    for k, i in enumerate(live):
+        if f_lo[k] <= 0:
+            out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
+        elif f_hi[k] < 0:
+            sign_change.append(k)
+        else:
+            try:
+                p_star[i] = _golden_row(*problems[i], lo[k], hi[k])
+            except ValueError as exc:
+                out[i] = exc
+    if sign_change:
+        rows_b = [live[k] for k in sign_change]
+        d, u, mp = _stack(problems, rows_b)
+        p = _bisect(lambda p: profit_derivative(d, u, mp, p),
+                    np.array([lo[k] for k in sign_change]), np.array([hi[k] for k in sign_change]))
+        p_star.update(zip(rows_b, p.tolist()))
+    if p_star:
+        sols = _solutions(*_stack(problems, p_star), np.array(list(p_star.values())))
+        for i, sol in zip(p_star, sols):
+            out[i] = sol
+
+
+def _golden_row(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, lo: float, hi: float):
+    """Optimal price of a row whose E' shows no sign change on [lo, hi] (E'(hi)
+    underflowed): maximize the quasiconcave profit itself."""
+    p = _golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
+    if hi - p <= 2.0 * _PRICE_TOL or p - lo <= 2.0 * _PRICE_TOL:
+        raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
+    return p
+
+
+def _bisect(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Midpoints of the final brackets of bisecting, per row, a sign change of f
+    from positive at a to non-positive at b.  Each row stops by itself once its
+    bracket is at most _PRICE_TOL wide or spans adjacent doubles."""
+    while True:
+        mid = 0.5 * (a + b)
+        go = (b - a > _PRICE_TOL) & (a < mid) & (mid < b)
+        if not go.any():
+            return mid
+        up = f(mid) > 0
+        a = np.where(go & up, mid, a)
+        b = np.where(go & ~up, mid, b)
+
+
+def _solutions(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: np.ndarray) -> list:
+    """StaticSolution of each stacked row at its optimal price p."""
+    dem = d.demand(p)
+    phi = (p - mp.r) * dem
     lam = mp.m * u.partial_overshoot(mp.capacity - dem)
-    return StaticSolution(
-        p_star=p_star,
-        expected_profit=phi - lam,
-        risk_free_profit=phi,
-        overflow_loss=lam,
-        overflow_probability=u.tail_probability(mp.capacity - dem),
-        elasticity_at_opt=d.elasticity(p_star),
-    )
+    columns = (p, phi - lam, phi, lam, u.tail_probability(mp.capacity - dem), d.elasticity(p))
+    return [StaticSolution(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def regular_price(d_bar: DemandSpec, r_bar: float) -> float:

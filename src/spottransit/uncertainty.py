@@ -23,6 +23,10 @@ from .record import Record
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _ret(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def _phi(z):
     """Standard normal pdf."""
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
@@ -62,12 +66,12 @@ class UncertaintyModel(Record):
 
     @property
     def _mass(self) -> float:
-        return float(ndtr(self._zb) - ndtr(self._za))
+        return _ret(ndtr(self._zb) - ndtr(self._za))
 
     @property
     def mean(self) -> float:
         """Exact mean of the truncated distribution (equals mu when the support is symmetric)."""
-        return self.mu + self.theta * float(_phi(self._za) - _phi(self._zb)) / self._mass
+        return _ret(self.mu + self.theta * (_phi(self._za) - _phi(self._zb)) / self._mass)
 
     def density(self, x):
         """Renormalized pdf; zero outside [a, b]."""
@@ -75,7 +79,7 @@ class UncertaintyModel(Record):
         z = (x - self.mu) / self.theta
         inside = (x >= self.a) & (x <= self.b)
         out = np.where(inside, _phi(z) / (self.theta * self._mass), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _ret(out)
 
     def tail_probability(self, t):
         """Pr(eps > t); 1 below the support, 0 above, non-increasing in t."""
@@ -83,7 +87,7 @@ class UncertaintyModel(Record):
         z = (t - self.mu) / self.theta
         raw = (ndtr(self._zb) - ndtr(z)) / self._mass
         out = np.clip(np.where(t <= self.a, 1.0, np.where(t >= self.b, 0.0, raw)), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _ret(out)
 
     def partial_overshoot(self, t):
         """E[(eps - t)+] = integral of (x - t) f(x) dx from t to b.
@@ -100,7 +104,7 @@ class UncertaintyModel(Record):
         below = self.mean - t  # full support contributes
         out = np.where(t <= self.a, below, np.where(t >= self.b, 0.0, interior))
         out = np.maximum(out, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _ret(out)
 
     def cantelli_bound(self, t):
         """One-sided Chebyshev bound theta^2 / (theta^2 + (t-mu)^2) on Pr(eps > t).
@@ -112,7 +116,7 @@ class UncertaintyModel(Record):
             raise ValueError("the one-sided bound applies only above the mean (t > mu)")
         var = self.theta**2
         out = var / (var + np.square(t - self.mu))
-        return float(out) if out.ndim == 0 else out
+        return _ret(out)
 
 
 def uncertainty_from_dict(obj: dict) -> UncertaintyModel:

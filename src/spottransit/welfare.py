@@ -57,10 +57,12 @@ def welfare_report(
 ) -> WelfareReport:
     """Compare the solved spot regime against the regular regime at (p̄, r̄).
 
-    When the spot price undercuts the regular price, both the surplus
-    and the profit comparison must come out strictly positive; a
-    violation means the market assumptions were broken upstream and is
-    reported as an error rather than silently returned.
+    When the spot price undercuts the regular price the surplus must come
+    out strictly higher.  So must the profit whenever the spot cost is at
+    most r̄ and the capacity carries the demand at p̄ under every noise draw:
+    the spot seller could charge p̄ and earn (p̄ - r) d(p̄) >= (p̄ - r̄) d(p̄).
+    A violation means the solved price is not the optimum and is reported
+    as an error; outside those conditions a lower profit is reported as is.
     """
     if mp.r_bar is None or mp.p_bar is None:
         raise ValueError("welfare report needs both r_bar and p_bar")
@@ -68,11 +70,13 @@ def welfare_report(
     s_reg = consumer_surplus(d, mp.p_bar)
     pi_spot = sol.expected_profit
     pi_reg = baseline_profit(d, mp.p_bar, mp.r_bar)
-    if sol.p_star < mp.p_bar and not (s_spot > s_reg and pi_spot > pi_reg):
+    if sol.p_star < mp.p_bar and not (
+        s_spot > s_reg
+        and (pi_spot > pi_reg or mp.r > mp.r_bar or mp.capacity - d.demand(mp.p_bar) < u.b)
+    ):
         raise RuntimeError(
             "spot price is below the regular price but surplus/profit did not both "
-            "improve; market assumptions (noise support below capacity, penalty "
-            "above the capacity price) are likely violated"
+            "improve although they must; the solved price is not the optimum"
         )
     return WelfareReport(
         surplus_spot=s_spot,

@@ -226,6 +226,10 @@ def test_main_predict(tmp_path):
     assert rc == 0
     saved = json.loads((tmp_path / "pred.json").read_text())
     assert saved["meta"]["residual_count"] == 2016
+    # the scalar fields of PredictionReport, in field order
+    assert list(saved["meta"]) == [
+        "command", "trace", "samples", "step_seconds", "gaps_filled", "window_seconds",
+        "percentile_95", "residual_mean", "residual_sd", "residual_count", "degenerate"]
     assert saved["meta"]["degenerate"] is True  # noiseless periodic trace
 
 
@@ -249,6 +253,11 @@ def test_main_mdp_and_simulate(tmp_path):
     assert rc == 0
     sim = json.loads((tmp_path / "sim_run.json").read_text())
     assert sim["meta"]["passed"] is True
+    # the scalar fields of SimResult and ComparisonReport, in field order; the
+    # analytic revenue is j_star
+    assert list(sim["meta"]) == [
+        "command", "seed", "horizon", "warmup", "j_star", "revenue_rate_estimate",
+        "revenue_rate_stderr", "transitions", "stuck_state", "revenue_z", "tv_distance", "passed"]
     assert abs(sim["meta"]["revenue_z"]) <= 3.0
 
 
@@ -286,6 +295,13 @@ def test_main_unknown_preset_is_one_line_error(tmp_path, capsys, scenario, names
     assert names in line
 
 
+def test_main_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps([{"ixp": "linx"}]))
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), "static"], capsys)
+    assert "JSON object" in line
+
+
 def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"ixp": "linx", "kind": "loglog"}))
@@ -301,6 +317,16 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     *[({key: float("inf")}, key) for key in ("p_bar", "d_bar", "gamma", "alpha_bar")],
     *[({key: float("inf")}, "ratios") for key in ("r_ratio", "m_ratio")],
     ({"beta": []}, "beta"),
+    ({"beta": [None]}, "beta"),
+    ({"beta": ["0.5"]}, "beta"),
+    ({"gamma": None}, "gamma"),
+    ({"r_ratio": True}, "r_ratio"),
+    ({"r_ratio": [1]}, "r_ratio"),
+    ({"m_ratio": {}}, "m_ratio"),
+    ({"p_bar": [7.5]}, "p_bar"),
+    ({"d_bar": "100"}, "d_bar"),
+    ({"theta": [1.0]}, "theta"),
+    ({"alpha_bar": None}, "alpha_bar"),
 ])
 def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, change, needle):
     path = tmp_path / "scn.json"

@@ -4,17 +4,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import spottransit
 from oracles import profit_grid, profit_quadrature, random_instance
-from spottransit.demand import IsoElasticDemand, LinearDemand
+from spottransit import cli, pricing
+from spottransit.calibration import IXP_STATS, CalibrationInput, calibrate
+from spottransit.demand import DomainError, IsoElasticDemand, LinearDemand
 from spottransit.pricing import (
+    _GOLDEN,
+    _PRICE_TOL,
     MarketParams,
+    StaticSolution,
     check_price_advantage,
     expected_profit,
     optimize_price,
+    optimize_prices,
     profit_derivative,
     regular_price,
     validate_market,
@@ -313,3 +324,225 @@ def test_golden_section_fallback_when_the_slope_underflows():
     mp = MarketParams(r=1.0, m=1e16, capacity=50.0)
     assert profit_derivative(d, u, mp, d.upper_bracket(mp.r, mp.m)) >= 0
     assert optimize_price(d, u, mp).p_star == pytest.approx(50.0 / 49.0, rel=1e-9)
+
+
+# -- the scalar solver the batched one replaced, kept as its reference ------
+
+def _reference_golden_max(f, lo, hi):
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    dd = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(dd)
+    while b - a > _PRICE_TOL and a < c < dd < b:
+        if fc >= fd:
+            b, dd, fd = dd, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, dd, fd
+            dd = a + _GOLDEN * (b - a)
+            fd = f(dd)
+    return 0.5 * (a + b)
+
+
+def reference_optimize_price(d, u, mp):
+    """One row at a time: scalar bisection of E', golden section when E'(hi) >= 0."""
+    validate_market(d, u, mp)
+    lo = mp.r * (1.0 + 1e-6)
+    hi = d.upper_bracket(mp.r, mp.m)
+    if not lo < hi:
+        raise ValueError(
+            f"no price range above cost: r={mp.r} vs upper bracket {hi} (degenerate parameters)"
+        )
+    f = lambda p: profit_derivative(d, u, mp, p)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo <= 0:
+        raise ValueError("profit is non-increasing at the cost floor; degenerate parameters")
+    if f_hi < 0:
+        a, b = lo, hi
+        while b - a > _PRICE_TOL:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            if f(mid) > 0:
+                a = mid
+            else:
+                b = mid
+        p_star = 0.5 * (a + b)
+    else:
+        p_star = _reference_golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
+        if hi - p_star <= 2.0 * _PRICE_TOL or p_star - lo <= 2.0 * _PRICE_TOL:
+            raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
+    dem = d.demand(p_star)
+    phi = (p_star - mp.r) * dem
+    lam = mp.m * u.partial_overshoot(mp.capacity - dem)
+    return StaticSolution(
+        p_star=p_star,
+        expected_profit=phi - lam,
+        risk_free_profit=phi,
+        overflow_loss=lam,
+        overflow_probability=u.tail_probability(mp.capacity - dem),
+        elasticity_at_opt=d.elasticity(p_star),
+    )
+
+
+def _outcome(result):
+    """A StaticSolution as is; an error as its type and text."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+def _reference_outcome(problem):
+    try:
+        return reference_optimize_price(*problem)
+    except ValueError as exc:
+        return _outcome(exc)
+
+
+def assert_batch_matches_reference(problems, results=None):
+    """Every field of every row (==, so bit for bit) or the same error, and the
+    same again when each row is solved alone through optimize_price."""
+    results = optimize_prices(problems) if results is None else results
+    expected = [_reference_outcome(p) for p in problems]
+    assert [_outcome(r) for r in results] == expected
+    for problem, want in zip(problems, expected):
+        try:
+            got = optimize_price(*problem)
+        except ValueError as exc:
+            got = _outcome(exc)
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", ["iso", "linear"])
+def test_batched_solve_matches_scalar_reference_on_the_cli_tables(monkeypatch, kind):
+    # every batch that static, worst-case and the four sweeps price for the 6 IXPs;
+    # calibrate runs the same grid points as static
+    batches = []
+
+    def recording(problems, solve=pricing.optimize_prices):
+        results = solve(problems)
+        batches.append((problems, results))
+        return results
+
+    monkeypatch.setattr(pricing, "optimize_prices", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for ixp in IXP_STATS:
+            scn = cli.load_scenario({"ixp": ixp, "kind": kind})
+            cli.cmd_static(scn)
+            cli.cmd_worst_case(scn)
+            for param in cli.SWEEP_DEFAULTS:
+                cli.cmd_sweep(scn, param)
+    monkeypatch.undo()
+    assert len(batches) == len(IXP_STATS) * (2 + len(cli.SWEEP_DEFAULTS))
+    assert sum(len(problems) for problems, _ in batches) > 1000
+    for problems, results in batches:
+        assert_batch_matches_reference(problems, results)
+
+
+UNDERFLOW = (IsoElasticDemand(100.0, 50.0), UncertaintyModel(0.0, 1.0),
+             MarketParams(r=1.0, m=1e16, capacity=50.0))
+MIXED_BATCH = [
+    (D_REF, U_REF, MP_REF),
+    UNDERFLOW,  # E'(hi) reads >= 0: golden section
+    (LinearDemand(100.0, 10.0), WIDE, MarketParams(r=11.0, m=1.0, capacity=1e6)),  # lo >= hi
+    # d and d' underflow to 0 at the cost floor, so E'(lo) = 0
+    (IsoElasticDemand(1.0, 400.0), WIDE, MarketParams(r=10.0, m=1.0, capacity=50.0)),
+    (LinearDemand(100.0, 10.0), WIDE, big_capacity(None, WIDE, r=2.0)),
+    (D_REF, UncertaintyModel(0.0, 200.0), MarketParams(r=1.0, m=1.0, capacity=300.0)),  # b >= C
+    (IsoElasticDemand(10.0, 2.0), WIDE, big_capacity(None, WIDE, r=1.0)),
+]
+
+
+def test_batched_solve_keeps_each_rows_branch_and_error():
+    results = optimize_prices(MIXED_BATCH)
+    assert results[0].p_star == optimize_price(D_REF, U_REF, MP_REF).p_star
+    assert results[1].p_star == pytest.approx(50.0 / 49.0, rel=1e-9)
+    assert str(results[2]).startswith("no price range above cost")
+    assert str(results[3]).startswith("profit is non-increasing at the cost floor")
+    assert results[4].p_star == pytest.approx(6.0, abs=1e-9)
+    assert str(results[5]).startswith("noise support must sit below capacity")
+    assert results[6].p_star == pytest.approx(2.0, abs=1e-9)
+    assert_batch_matches_reference(MIXED_BATCH)
+    assert_batch_matches_reference(MIXED_BATCH[::-1])
+    for problem in MIXED_BATCH:
+        assert_batch_matches_reference([problem])
+    assert optimize_prices([]) == []
+
+
+@dataclass(frozen=True)
+class _PickyDemand(IsoElasticDemand):
+    """Iso-elastic demand whose elasticity refuses the base demand 13."""
+
+    def elasticity(self, p):
+        if np.any(np.asarray(self.v) == 13.0):
+            raise DomainError("base demand 13 refused")
+        return super().elasticity(p)
+
+
+def test_a_row_the_stacked_evaluation_rejects_fails_alone():
+    batch = [(_PickyDemand(v, 1.6), U_REF, MP_REF) for v in (1313.26, 13.0, 900.0)]
+    results = optimize_prices(batch)
+    assert [type(r) for r in results] == [StaticSolution, DomainError, StaticSolution]
+    assert results[2] == optimize_price(IsoElasticDemand(900.0, 1.6), U_REF, MP_REF)
+    assert_batch_matches_reference(batch)
+
+
+@st.composite
+def market_problems(draw):
+    """One (d, u, mp) row of either family over wide parameter ranges; many are degenerate."""
+    if draw(st.booleans()):
+        d = IsoElasticDemand(draw(st.floats(1e-2, 1e8)), draw(st.floats(1.01, 12.0)))
+    else:
+        d = LinearDemand(draw(st.floats(1e-2, 1e5)), draw(st.floats(1e-3, 1e3)))
+    u = UncertaintyModel(draw(st.floats(-50.0, 50.0)), draw(st.floats(1e-3, 100.0)))
+    mp = MarketParams(r=draw(st.floats(1e-3, 50.0)), m=draw(st.floats(0.0, 200.0)),
+                      capacity=draw(st.floats(1.0, 1e4)))
+    return d, u, mp
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(market_problems(), min_size=1, max_size=6))
+def test_batched_solve_matches_scalar_reference_property(problems):
+    # batched p* equals scalar p*, bit for bit, for any mix of families and failures
+    assert_batch_matches_reference(problems)
+
+
+def _calibrated(inp, kind, r_ratio, m_ratio):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scen = calibrate(inp, kind, r_ratio, m_ratio)
+    except ValueError:
+        assume(False)
+    return scen.demand, scen.uncertainty, scen.market
+
+
+calibration_inputs = st.builds(
+    CalibrationInput, p_bar=st.floats(0.5, 100.0), d_bar=st.floats(1.0, 5000.0),
+    beta=st.floats(0.05, 0.95), gamma=st.floats(1.01, 3.0), alpha_bar=st.floats(1.05, 5.0),
+    mu=st.floats(-50.0, 50.0), theta=st.floats(0.01, 300.0))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(calibration_inputs, st.sampled_from(["iso", "linear"]),
+       st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2))
+def test_optimal_price_is_nondecreasing_in_cost_and_penalty(inp, kind, r_ratios, m_ratios):
+    (r1, r2), (m1, m2) = sorted(r_ratios), sorted(m_ratios)
+    base, higher_r, higher_m = optimize_prices([_calibrated(inp, kind, r1, m1),
+                                                _calibrated(inp, kind, r2, m1),
+                                                _calibrated(inp, kind, r1, m2)])
+    assume(isinstance(base, StaticSolution))
+    # rows whose true optima coincide may end anywhere in their final brackets
+    for other in (higher_r, higher_m):
+        if isinstance(other, StaticSolution):
+            assert other.p_star >= base.p_star - _PRICE_TOL
+
+
+def test_optimal_price_monotone_regressions():
+    # shrunk: the penalty does not bind, so both optima are alpha r / (alpha - 1), but the
+    # two brackets differ and their final midpoints sit 4.8e-11 apart, the higher m lower
+    inp = CalibrationInput(p_bar=2.0, d_bar=34.0, beta=0.5, gamma=1.125, alpha_bar=2.0,
+                           mu=0.0, theta=1.0)
+    low, high = optimize_prices([_calibrated(inp, "iso", 0.875, m) for m in (1.0, 2.0)])
+    assert high.p_star < low.p_star <= high.p_star + _PRICE_TOL

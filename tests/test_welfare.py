@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import random_instance, surplus_quadrature
-from spottransit.calibration import calibrate, ixp_input
+from spottransit.calibration import CalibrationInput, calibrate, ixp_input
 from spottransit.demand import DomainError, IsoElasticDemand, LinearDemand
 from spottransit.pricing import MarketParams, expected_profit, optimize_price
 from spottransit.uncertainty import UncertaintyModel
@@ -16,6 +18,7 @@ from spottransit.welfare import (
     social_welfare,
     welfare_report,
 )
+from test_pricing import calibration_inputs
 
 
 def test_surplus_closed_forms():
@@ -162,3 +165,51 @@ def test_report_serialization():
     d = rep.to_dict()
     assert list(d) == [f.name for f in dataclasses.fields(rep)]
     assert list(d.values()) == [getattr(rep, k) for k in d]
+
+
+def _discounted_report(inp, kind, r_ratio, m_ratio):
+    """(scenario, welfare report) of a calibrated scenario whose spot price undercuts p̄."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            scen = calibrate(inp, kind, r_ratio, m_ratio)
+            sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
+        except ValueError:
+            assume(False)
+    assume(sol.p_star < inp.p_bar)
+    try:
+        return scen, welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
+    except DivergentSurplusError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(calibration_inputs, st.sampled_from(["iso", "linear"]), st.floats(0.01, 3.0),
+       st.floats(0.01, 3.0))
+def test_gains_positive_whenever_discounted_property(inp, kind, r_ratio, m_ratio):
+    scen, rep = _discounted_report(inp, kind, r_ratio, m_ratio)
+    assert rep.surplus_gain_abs > 0
+    # the profit gain is assured when the spot cost is at most r̄ and the capacity
+    # carries the demand at p̄ under every noise draw (see welfare_report)
+    d, u, mp = scen.demand, scen.uncertainty, scen.market
+    if r_ratio <= 1.0 and mp.capacity - d.demand(mp.p_bar) >= u.b:
+        assert rep.profit_gain_abs > 0
+
+
+@pytest.mark.parametrize("kind,inp,r_ratio,gain_pct", [
+    # shrunk: demand at p̄ overflows the capacity with probability ~0.14
+    ("linear", CalibrationInput(p_bar=1.0, d_bar=28.0, beta=0.75, gamma=1.25,
+                                alpha_bar=1.0625, mu=0.0, theta=14.0), 0.5, -0.464),
+    # shrunk: the spot cost is above the regular cost
+    ("iso", CalibrationInput(p_bar=1.0, d_bar=4.0, beta=0.5, gamma=2.0, alpha_bar=2.0,
+                             mu=0.0, theta=1.0), 1.25, -18.62),
+])
+def test_unassured_profit_loss_is_reported_not_raised(kind, inp, r_ratio, gain_pct):
+    # before, welfare_report raised "market assumptions ... are likely violated" here
+    # although the noise support sits below capacity and the penalty is above the capacity price
+    scen = calibrate(inp, kind, r_ratio, 1.0)
+    sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
+    rep = welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
+    assert scen.penalty_assumption_ok and sol.p_star < inp.p_bar
+    assert rep.surplus_gain_abs > 0
+    assert rep.profit_improvement_pct == pytest.approx(gain_pct, abs=1e-2)
