@@ -123,6 +123,8 @@ def percentile_95(s: TrafficSeries) -> float:
 
 
 def _window_samples(s: TrafficSeries, window: float) -> int:
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be a finite number of seconds above 0, got {window!r}")
     w = window / s.step
     if abs(w - round(w)) > 1e-9:
         raise ValueError(f"window {window}s is not a multiple of the step {s.step}s")

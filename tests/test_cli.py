@@ -371,6 +371,27 @@ def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
     assert needle in line
 
 
+@pytest.mark.parametrize("algorithm", ["pi", "rvi"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9", "-inf"])
+def test_main_mdp_rejects_a_bad_tol(tmp_path, capsys, algorithm, tol):
+    cfg = tmp_path / "mdp.json"
+    cfg.write_text(json.dumps({"capacity": 5, "arrival": [24.0, 0.0, -1.5],
+                               "departure": [0.0, 0.3], "p_max": 4.0, "price_points": 100}))
+    argv = ["--out", str(tmp_path / "r"), "mdp", "--config", str(cfg),
+            "--algorithm", algorithm, f"--tol={tol}"]
+    assert "tol must be a finite number above 0" in _run_error(argv, capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("window", ["inf", "nan", "0", "-604800"])
+def test_main_predict_rejects_a_bad_window(tmp_path, capsys, window):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{i * 300},{100 + i % 7}\n" for i in range(2 * 2016)))
+    argv = ["--out", str(tmp_path / "r"), "predict", "--trace", str(trace), f"--window={window}"]
+    assert "window must be a finite number of seconds above 0" in _run_error(argv, capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("horizon,warmup", [("inf", "10"), ("1e3", "inf"), ("inf", None)])
 def test_main_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon, warmup):
     cfg = tmp_path / "mdp.json"

@@ -34,6 +34,7 @@ def make_spec(delta_coeffs, capacity=100, n_prices=1000, lam=LAMBDA, p_max=4.0):
 
 K1_SPEC = make_spec([0.0, 0.3], capacity=1)  # delta = 0.3p
 K1_POLICY = Policy([0.0, 4.0])               # lambda(0) = 24, delta(4) = 1.2
+NO_DEMAND_SPEC = MdpSpec(5, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
 
 
 def test_rate_model_clamps_arrivals():
@@ -94,8 +95,7 @@ def test_steady_state_k1_hand_value():
 
 
 def test_steady_state_no_arrivals_pins_empty_state():
-    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
-    pi = steady_state(spec, Policy([4.0] * 6))
+    pi = steady_state(NO_DEMAND_SPEC, Policy([4.0] * 6))
     assert pi[0] == pytest.approx(1.0)
 
 
@@ -181,8 +181,7 @@ def test_policy_iteration_matches_product_form_revenue():
 
 
 def test_policy_iteration_no_demand():
-    spec = MdpSpec(5, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
-    sol = policy_iteration(spec)
+    sol = policy_iteration(NO_DEMAND_SPEC)
     assert sol.j_star == 0.0
     assert np.all(sol.h == 0.0)
     assert np.all(sol.policy.prices[:-1] == 0.0)  # lowest-price tie-break
@@ -209,6 +208,49 @@ def test_rvi_k1_hand_value():
     sol = relative_value_iteration(K1_SPEC)
     assert sol.j_star == pytest.approx(80.0 / 21.0, rel=1e-6)
     np.testing.assert_allclose(sol.policy.prices, [0.0, 4.0])
+
+
+def reference_relative_value_iteration(spec, tol=1e-9, max_iter=200_000):
+    """Relative value iteration with a full greedy step in every damped sweep."""
+    if not np.any(spec.lam_grid > 0):
+        return mdp._no_demand_solution(spec)
+    u = uniformization_rate(spec)
+    K = spec.capacity
+    h = np.zeros(K + 1)
+    for it in range(1, max_iter + 1):
+        _, w = mdp._greedy(spec, h, u)
+        diff = w - h
+        lo, hi = float(diff.min()), float(diff.max())
+        j = 0.5 * (lo + hi)
+        if hi - lo <= tol * max(1.0, abs(j)):
+            h = w - w[K]
+            break
+        h = (1.0 - mdp._DAMPING) * h + mdp._DAMPING * (w - w[K])  # keep h_K = 0
+    else:
+        raise RuntimeError(f"relative value iteration did not reach span {tol} in {max_iter} sweeps")
+    idx, _ = mdp._greedy(spec, h, u)
+    return DpSolution(j_star=j, h=h, policy=Policy(spec.price_grid[idx]), iterations=it)
+
+
+def clamped_arrival_spec():
+    """Arrivals 12 - 3p vanish from p = 4 on a non-uniform grid over [0, 8]."""
+    rates = RateModel.from_polynomials([12.0, -3.0], [0.0, 0.0, 0.3], 8.0)
+    grid = np.sort(np.r_[0.0, 8.0, np.random.default_rng(5).uniform(0.0, 8.0, 300)])
+    return MdpSpec(10, grid, rates)
+
+
+@pytest.mark.parametrize("spec", [
+    *(make_spec(delta, capacity=k) for k in (10, 100) for delta, _ in TABLE),
+    K1_SPEC, clamped_arrival_spec(), NO_DEMAND_SPEC,
+], ids=[*(f"K{k}-{i}" for k in (10, 100) for i in range(len(TABLE))), "K1", "ceiling", "no-demand"])
+def test_rvi_matches_reference_rvi(spec):
+    tol = 1e-9
+    sol = relative_value_iteration(spec, tol=tol)
+    ref = reference_relative_value_iteration(spec, tol=tol)
+    np.testing.assert_array_equal(sol.policy.prices, ref.policy.prices)
+    assert abs(sol.j_star - ref.j_star) <= tol * max(1.0, abs(ref.j_star))
+    assert sol.h[-1] == 0.0
+    assert sol.iterations <= ref.iterations
 
 
 def test_structure_checks_pass_on_reference_instance():
@@ -421,6 +463,7 @@ def test_greedy_matches_full_argmax_in_solvers(checked_greedy, delta):
         policy_iteration(make_spec(delta, capacity=k))
     for k in (10, 100):
         relative_value_iteration(make_spec(delta, capacity=k))
+        reference_relative_value_iteration(make_spec(delta, capacity=k))
     assert len(checked_greedy) > 500 and set(checked_greedy) == {10, 100, 1000}
 
 
@@ -445,9 +488,8 @@ def test_greedy_matches_full_argmax_edge_cases(checked_greedy):
 
     # arrivals 12 - 3p vanish from p = 4 on a non-uniform grid over [0, 8]: with h peaked
     # at state 4, that state posts an interior price of the clamped piece, a ceiling below K
-    rates = RateModel.from_polynomials([12.0, -3.0], [0.0, 0.0, 0.3], 8.0)
-    grid = np.sort(np.r_[0.0, 8.0, np.random.default_rng(5).uniform(0.0, 8.0, 300)])
-    spec = MdpSpec(10, grid, rates)
+    spec = clamped_arrival_spec()
+    grid = spec.price_grid
     idx = _assert_greedy_matches(spec, -30.0 * (np.arange(11) - 4.0) ** 2)
     assert 4.0 < grid[idx[4]] < 8.0
     assert np.all(spec.lam_grid[idx[4:]] == 0.0)
@@ -524,6 +566,39 @@ def _h_vectors(draw, k):
 def test_greedy_matches_full_argmax_property(data):
     spec = data.draw(_rate_specs())
     _assert_greedy_matches(spec, data.draw(_h_vectors(spec.capacity)))
+
+
+@st.composite
+def _departure_specs(draw):
+    """The reference arrivals 24 - 1.5 p^2 with departures of degree 0 to 3
+    (non-negative coefficients), K = 1..30 and a coarse uniform grid."""
+    beta = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=1, max_size=4))
+    if not any(beta):
+        beta[-1] = 1.0
+    return make_spec(beta, capacity=draw(st.integers(1, 30)), n_prices=draw(st.integers(2, 40)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_departure_specs())
+def test_policy_iteration_and_rvi_agree_property(spec):
+    tol = 1e-9
+    a = policy_iteration(spec, tol=tol)
+    b = relative_value_iteration(spec, tol=tol)
+    np.testing.assert_array_equal(a.policy.prices, b.policy.prices)
+    assert abs(a.j_star - b.j_star) <= tol * max(1.0, abs(a.j_star))
+
+
+def test_policy_iteration_and_rvi_agree_on_a_stiff_chain():
+    # shrunk from a wider arrival family: lam(0)/U = 6.5e-5, so each damped sweep
+    # shrinks the span by only ~3e-5; RVI takes 4,123 greedy steps at this tol (and
+    # 10,929 at 1e-9, past its default budget)
+    lam = np.polynomial.Polynomial([6.54757023e-05, -3.86810303e-03, 7.61718750e-02, -0.5])
+    spec = MdpSpec(2, [0.0, 1.0], RateModel(lam, np.polynomial.Polynomial([0.0, 1.0]), 1.0))
+    tol = 1e-6
+    a = policy_iteration(spec, tol=tol)
+    b = relative_value_iteration(spec, tol=tol)
+    np.testing.assert_array_equal(a.policy.prices, b.policy.prices)
+    assert abs(a.j_star - b.j_star) <= tol * max(1.0, abs(a.j_star))
 
 
 def test_real_roots_by_degree():

@@ -119,6 +119,10 @@ def test_persistence_window_validation():
         predict_persistence(s, WEEK)
     with pytest.raises(ValueError, match="multiple"):
         predict_persistence(diurnal(4), WEEK + 17.0)
+    for window in (math.inf, -math.inf, -WEEK, 0.0, math.nan):
+        for fn in (predict_persistence, prediction_errors):
+            with pytest.raises(ValueError, match="window must be a finite number of seconds above 0"):
+                fn(diurnal(4), window)
 
 
 def test_persistence_structural_idempotence():
