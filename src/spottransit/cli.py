@@ -87,6 +87,8 @@ def load_scenario(source) -> Scenario:
         if obj.get(key) is not None:
             fields[key] = _number(key, obj[key])
     if sources == ["trace"]:
+        if not isinstance(obj["trace"], str):
+            raise ValueError(f"scenario trace must be a path string, got {obj['trace']!r}")
         series = traffic.load_series(obj["trace"])
         report = traffic.prediction_errors(series)
         fields.update(d_bar=traffic.percentile_95(series), mu=report.residual_mean,
@@ -375,6 +377,17 @@ def export_report(meta: dict, rows: list, columns: list, fmt: str, path):
         raise ValueError(f"format must be json or csv, got {fmt!r}")
 
 
+def _saved_report(saved, path) -> tuple:
+    """(meta, rows, columns) of a parsed JSON report; anything else is refused."""
+    get = saved.get if isinstance(saved, dict) else {}.get
+    meta, rows, columns = get("meta"), get("rows"), get("columns") or []
+    if not (isinstance(meta, dict) and isinstance(rows, list) and isinstance(columns, list)
+            and all(isinstance(row, dict) for row in rows)
+            and all(isinstance(c, str) for c in columns)):
+        raise ValueError(f"{path} is not a JSON report with a meta object and a list of rows")
+    return meta, rows, columns or (list(rows[0]) if rows else [])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spottransit",
@@ -435,9 +448,7 @@ def _dispatch(args, parser) -> int:
         meta, rows, columns = cmd_simulate(args.config, args.horizon, args.warmup, args.seed)
     else:  # report: re-export a JSON report in the requested format
         with open(args.infile) as fh:
-            saved = json.load(fh)
-        meta, rows = saved["meta"], saved["rows"]
-        columns = saved.get("columns") or (list(rows[0].keys()) if rows else [])
+            meta, rows, columns = _saved_report(json.load(fh), args.infile)
 
     path = f"{args.out}.{args.format}"
     export_report(meta, rows, columns, args.format, path)

@@ -13,8 +13,8 @@ continuous, strictly decreasing, and convex on their domain; evaluation
 outside the domain raises ``DomainError`` instead of clamping (a
 silently clamped linear curve would corrupt the surplus integral).
 
-``demand``, ``slope`` and ``elasticity`` accept scalars or numpy
-arrays; scalars in, scalars out.
+``demand``, ``slope``, ``markup`` and ``elasticity`` accept scalars or
+numpy arrays; scalars in, scalars out.
 """
 
 from __future__ import annotations
@@ -36,22 +36,26 @@ class DivergentSurplusError(ValueError):
 class DemandSpec(Protocol):
     """What every demand family provides to the pricing, welfare and calibration code.
 
-    Beyond the curve, a family gives the price ``upper_bracket(r, m)`` above which the
-    profit derivative cannot stay positive, the lowest price ``capacity_price(C)`` at
-    which demand does not exceed C, the maximizer ``regular_price(r_bar)`` of
-    (p - r_bar) d(p), ``consumer_surplus(p)``, and ``calibrated(...)``: the curve
-    through (p_bar, share * d_bar) with elasticity relative * alpha_bar at p_bar,
-    where p_bar is the optimal price at the regular cost r_bar = p_bar (1 - 1/alpha_bar).
+    Beyond the curve and its slope, a family gives ``markup(p)`` = d(p)/(-d'(p)) in a
+    closed form that stays finite where d and d' underflow, the price
+    ``upper_bracket(r, m)`` above which the profit derivative cannot stay positive,
+    the lowest price ``capacity_price(C)`` at which demand does not exceed C, the
+    maximizer ``regular_price(r_bar)`` of (p - r_bar) d(p), ``consumer_surplus(p)``,
+    and ``calibrated(...)``: the curve through (p_bar, share * d_bar) with elasticity
+    relative * alpha_bar at p_bar, where p_bar is the optimal price at the regular
+    cost r_bar = p_bar (1 - 1/alpha_bar).
 
     A family is a frozen dataclass whose fields are its numeric parameters.  The
     batched static solve stacks many rows into one instance whose fields are arrays,
-    so ``demand``, ``slope`` and ``elasticity`` must also work elementwise there.
+    so ``demand``, ``slope``, ``markup`` and ``elasticity`` must also work elementwise
+    there.
     """
 
     kind: ClassVar[str]  # registry key in FAMILIES and the "kind" of to_dict()
 
     def demand(self, p): ...
     def slope(self, p): ...
+    def markup(self, p): ...
     def elasticity(self, p): ...
     def inverse(self, q: float) -> float: ...
     def upper_bracket(self, r: float, m: float) -> float: ...
@@ -94,6 +98,11 @@ class IsoElasticDemand:
         """d'(p) = -alpha * v * p**-(alpha+1), strictly negative."""
         self._check_price(p)
         return _ret(-self.alpha * self.v * np.asarray(p, dtype=float) ** -(self.alpha + 1.0))
+
+    def markup(self, p):
+        """d(p)/(-d'(p)) = p/alpha."""
+        self._check_price(p)
+        return _ret(np.asarray(p, dtype=float) / self.alpha)
 
     def elasticity(self, p):
         """-p d'(p)/d(p); constant by construction."""
@@ -170,6 +179,11 @@ class LinearDemand:
     def slope(self, p):
         self._check_price(p)
         return _ret(np.full_like(np.asarray(p, dtype=float), -self.alpha))
+
+    def markup(self, p):
+        """d(p)/(-d'(p)) = v/alpha - p."""
+        self._check_price(p)
+        return _ret(self.choke_price - np.asarray(p, dtype=float))
 
     def elasticity(self, p):
         """alpha*p / (v - alpha*p); increases with p, diverges at the choke price."""

@@ -128,6 +128,8 @@ class MdpSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "MdpSpec":
         """{"capacity": K, "arrival": coeffs, "departure": coeffs, "p_max": x, "price_points": N}"""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"MDP config must be a JSON object, got {type(cfg).__name__}")
         missing = [k for k in ("capacity", "arrival", "departure", "p_max") if cfg.get(k) is None]
         if missing:
             raise ValueError(f"MDP config is missing {', '.join(map(repr, missing))}")

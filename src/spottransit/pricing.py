@@ -6,19 +6,20 @@ is penalized at m $/Mbps, so the expected profit is
 
     E[R(p)] = (p - r) d(p) - m * E[(d(p) - C + eps)+]
 
-which is quasiconcave in p for any decreasing convex demand curve.  Its
-derivative has the closed form
+which is quasiconcave in p for any decreasing convex demand curve.  With
+T(p) = Pr(eps > C - d(p)), its derivative is
 
-    E'[R(p)] = d(p) + d'(p) (p - r - m Pr(eps > C - d(p)))
+    E'[R(p)] = d(p) + d'(p) (p - r - m T(p)) = -d'(p) g(p),
+    g(p)     = d(p)/(-d'(p)) - (p - r - m T(p)),
 
-and the optimizer locates the unique stationary point by bracketing a
-sign change of E' and bisecting.  In exact arithmetic E' < 0 at the
-bracket's upper end, but at large prices d'(p) can underflow to 0, so
-that E' there reads 0.0 (or d(p) > 0 when only the slope underflows) and
-no sign change shows.  A golden-section pass over the same bracket then
-maximizes the profit itself; quasiconcavity makes both routes exact.
-Both searches stop at an absolute bracket width of 1e-10, or earlier
-when the bracket spans adjacent doubles and can no longer shrink.
+and -d' > 0, so g has the sign of E'.  g = 0 is Lerner's inverse-elasticity
+rule with the expected overflow charge m T(p) added to the unit cost.  The
+optimizer brackets the unique root of g above the cost floor and bisects it.
+The markup d/(-d') is a closed form of each demand family, so g keeps its
+sign at the bracket's upper end even where d and d' underflow there: g is at
+most -(r + m) 1e-6 at the iso-elastic bracket and r - v/alpha < 0 at the
+linear choke price.  The search stops at an absolute bracket width of 1e-10,
+or earlier when the bracket spans adjacent doubles and can no longer shrink.
 
 ``optimize_prices`` solves a whole table at once, and ``optimize_price``
 is a table of one row.  Each row's bracket is checked on its own; the
@@ -26,12 +27,12 @@ rows of one demand family are then stacked into a curve, noise model and
 market whose fields are arrays, and one bisection loop halves every
 bracket together.  A row stops by the rule above, by itself, while the
 others go on, so each row sees the midpoints a lone solve would see.
-The stacked E' and solution fields do per element what the scalar code
+The stacked g and solution fields do per element what the scalar code
 does with the same IEEE operations (numpy ``power`` and scipy ``ndtr``
 give the same bits on arrays as on scalars), so the prices come out bit
-for bit as one row at a time.  A row whose E'(hi) shows no sign change
-runs the golden-section pass alone, and a row whose checks fail keeps its
-own error.
+for bit as one row at a time.  A row keeps its own error when its bracket
+is empty, its g is not positive at the cost floor, or its solution has a
+non-finite field (demand that overflows at the optimum).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .demand import DemandSpec
 from .record import Record
 from .uncertainty import UncertaintyModel
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # absolute bracket width at which the price search stops; from about 5e5 $/Mbps up
 # adjacent doubles lie farther apart, so the search also stops when it cannot shrink
 _PRICE_TOL = 1e-10
@@ -103,27 +103,14 @@ def expected_profit(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
 
 
 def profit_derivative(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
-    """d(p) + d'(p) (p - r - m Pr(eps > C - d(p))).  Accepts scalar or array p."""
-    dem = d.demand(p)
-    tail = u.tail_probability(mp.capacity - dem)
-    return dem + d.slope(p) * (np.asarray(p, dtype=float) - mp.r - mp.m * tail)
+    """d(p) + d'(p) (p - r - m Pr(eps > C - d(p))), as -d'(p) g(p).  Accepts scalar or array p."""
+    return -d.slope(p) * _markup_gap(d, u, mp, p)
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    dd = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(dd)
-    while b - a > _PRICE_TOL and a < c < dd < b:
-        if fc >= fd:
-            b, dd, fd = dd, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + _GOLDEN * (b - a)
-            fd = f(dd)
-    return 0.5 * (a + b)
+def _markup_gap(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
+    """g(p) = d(p)/(-d'(p)) - (p - r - m Pr(eps > C - d(p))), which has the sign of E'."""
+    tail = u.tail_probability(mp.capacity - d.demand(p))
+    return d.markup(p) - (np.asarray(p, dtype=float) - mp.r - mp.m * tail)
 
 
 def optimize_price(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> StaticSolution:
@@ -194,52 +181,27 @@ def _bracket(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> tuple[floa
 
 def _solve_stacked(problems, rows, out):
     """Fill out[i] for the rows i, which share a demand family."""
-    live, lo, hi = [], [], []
+    brackets = {}
     for i in rows:
         try:
-            a, b = _bracket(*problems[i])
+            brackets[i] = _bracket(*problems[i])
         except ValueError as exc:
             out[i] = exc
-        else:
-            live.append(i)
-            lo.append(a)
-            hi.append(b)
-    if not live:
+    if not brackets:
         return
-    d, u, mp = _stack(problems, live)
-    f_lo = profit_derivative(d, u, mp, np.array(lo))
-    f_hi = profit_derivative(d, u, mp, np.array(hi))
-
-    p_star, sign_change = {}, []
-    for k, i in enumerate(live):
-        if f_lo[k] <= 0:
-            out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
-        elif f_hi[k] < 0:
-            sign_change.append(k)
-        else:
-            try:
-                p_star[i] = _golden_row(*problems[i], lo[k], hi[k])
-            except ValueError as exc:
-                out[i] = exc
-    if sign_change:
-        rows_b = [live[k] for k in sign_change]
-        d, u, mp = _stack(problems, rows_b)
-        p = _bisect(lambda p: profit_derivative(d, u, mp, p),
-                    np.array([lo[k] for k in sign_change]), np.array([hi[k] for k in sign_change]))
-        p_star.update(zip(rows_b, p.tolist()))
-    if p_star:
-        sols = _solutions(*_stack(problems, p_star), np.array(list(p_star.values())))
-        for i, sol in zip(p_star, sols):
+    d, u, mp = _stack(problems, brackets)
+    g = lambda p: _markup_gap(d, u, mp, p)
+    lo, hi = np.array(list(brackets.values())).T
+    if np.any(g(hi) >= 0):
+        raise RuntimeError("the markup gap g is not negative at the upper bracket")
+    rises = g(lo) > 0
+    p_star = _bisect(g, lo, hi)
+    solved = [i for i, ok in zip(brackets, rises) if ok]
+    if solved:
+        for i, sol in zip(solved, _solutions(*_stack(problems, solved), p_star[rises])):
             out[i] = sol
-
-
-def _golden_row(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, lo: float, hi: float):
-    """Optimal price of a row whose E' shows no sign change on [lo, hi] (E'(hi)
-    underflowed): maximize the quasiconcave profit itself."""
-    p = _golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
-    if hi - p <= 2.0 * _PRICE_TOL or p - lo <= 2.0 * _PRICE_TOL:
-        raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
-    return p
+    for i in brackets.keys() - solved:
+        out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
 
 
 def _bisect(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,12 +219,15 @@ def _bisect(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solutions(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: np.ndarray) -> list:
-    """StaticSolution of each stacked row at its optimal price p."""
+    """StaticSolution of each stacked row at its optimal price p, or the ValueError of a
+    row with a non-finite field."""
     dem = d.demand(p)
     phi = (p - mp.r) * dem
     lam = mp.m * u.partial_overshoot(mp.capacity - dem)
     columns = (p, phi - lam, phi, lam, u.tail_probability(mp.capacity - dem), d.elasticity(p))
-    return [StaticSolution(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return [StaticSolution(*row) if all(map(math.isfinite, row)) else ValueError(
+                f"the solution at p*={row[0]!r} has a non-finite field; degenerate parameters")
+            for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def regular_price(d_bar: DemandSpec, r_bar: float) -> float:

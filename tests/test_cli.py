@@ -302,6 +302,37 @@ def test_main_rejects_a_scenario_that_is_not_an_object(tmp_path, capsys):
     assert "JSON object" in line
 
 
+@pytest.mark.parametrize("command", [["mdp"], ["simulate", "--seed", "1"]])
+def test_main_rejects_an_mdp_config_that_is_not_an_object(tmp_path, capsys, command):
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps([1, 2]))
+    argv = ["--out", str(tmp_path / "r"), command[0], "--config", str(path), *command[1:]]
+    assert "JSON object" in _run_error(argv, capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("saved", [
+    {"rows": []},
+    [],
+    {"meta": {}, "rows": [1]},
+    {"meta": {}, "rows": [], "columns": 5},
+])
+def test_main_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, saved):
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(saved))
+    argv = ["--out", str(tmp_path / "r"), "--format", "csv", "report", "--in", str(path)]
+    assert "is not a JSON report" in _run_error(argv, capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_static_rejects_demand_that_overflows_at_the_optimum(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"ixp": "linx", "d_bar": 1e308}))
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), "static"], capsys)
+    assert "degenerate parameters" in line
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"ixp": "linx", "kind": "loglog"}))
@@ -327,6 +358,7 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     ({"d_bar": "100"}, "d_bar"),
     ({"theta": [1.0]}, "theta"),
     ({"alpha_bar": None}, "alpha_bar"),
+    ({"trace": 0}, "trace"),
 ])
 def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, change, needle):
     path = tmp_path / "scn.json"

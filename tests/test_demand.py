@@ -26,6 +26,8 @@ def test_linear_choke_price():
         d.demand(10.0 + 1e-9)
     with pytest.raises(DomainError):
         d.demand(-0.5)
+    with pytest.raises(DomainError):
+        d.markup(10.0 + 1e-9)
 
 
 def test_iso_domain_error():
@@ -33,6 +35,8 @@ def test_iso_domain_error():
         FIG1.demand(0.0)
     with pytest.raises(DomainError):
         FIG1.slope(-1.0)
+    with pytest.raises(DomainError):
+        FIG1.markup(0.0)
 
 
 def test_constructor_validation():
@@ -64,6 +68,7 @@ def test_slope_matches_finite_difference_everywhere():
             h = 1e-5 * p
             fd = (d.demand(p + h) - d.demand(p - h)) / (2 * h)
             assert d.slope(p) == pytest.approx(fd, rel=1e-6)
+            assert d.markup(p) == pytest.approx(d.demand(p) / -d.slope(p), rel=1e-12)
 
 
 def test_elasticity():
@@ -146,6 +151,8 @@ def test_array_evaluation_matches_scalar():
     ps = np.array([2.0, 5.0, 9.0])
     np.testing.assert_allclose(FIG1.demand(ps), [FIG1.demand(p) for p in ps])
     np.testing.assert_allclose(FIG1.slope(ps), [FIG1.slope(p) for p in ps])
+    for d in (FIG1, LinearDemand(100, 10)):
+        assert d.markup(ps).tolist() == [d.markup(p) for p in ps]
 
 
 def test_json_roundtrip():

@@ -18,7 +18,6 @@ from spottransit import cli, pricing
 from spottransit.calibration import IXP_STATS, CalibrationInput, calibrate
 from spottransit.demand import DomainError, IsoElasticDemand, LinearDemand
 from spottransit.pricing import (
-    _GOLDEN,
     _PRICE_TOL,
     MarketParams,
     StaticSolution,
@@ -317,36 +316,20 @@ def test_search_stops_when_doubles_are_wider_than_the_tolerance():
     assert float(_run_isolated(code)) == pytest.approx(alpha / (alpha - 1.0), rel=1e-6)
 
 
-def test_golden_section_fallback_when_the_slope_underflows():
-    # d'(p) underflows to 0 at the upper bracket, so E' shows no sign change there;
-    # bisecting [lo, hi] anyway ends near 3e6, the true optimum is alpha r / (alpha - 1)
+def test_markup_bisection_solves_where_the_slope_underflows():
+    # d'(p) underflows to 0 at the upper bracket, so E' shows no sign change there, but the
+    # markup gap g = d/(-d') - (p - r - m T) stays negative; the optimum is alpha r / (alpha - 1)
     d, u = IsoElasticDemand(100.0, 50.0), UncertaintyModel(0.0, 1.0)
     mp = MarketParams(r=1.0, m=1e16, capacity=50.0)
-    assert profit_derivative(d, u, mp, d.upper_bracket(mp.r, mp.m)) >= 0
-    assert optimize_price(d, u, mp).p_star == pytest.approx(50.0 / 49.0, rel=1e-9)
+    hi = d.upper_bracket(mp.r, mp.m)
+    assert profit_derivative(d, u, mp, hi) >= 0
+    assert d.markup(hi) - (hi - mp.r - mp.m * u.tail_probability(mp.capacity - d.demand(hi))) < 0
+    assert optimize_price(d, u, mp).p_star == pytest.approx(50.0 / 49.0, rel=1e-11)
 
 
 # -- the scalar solver the batched one replaced, kept as its reference ------
 
-def _reference_golden_max(f, lo, hi):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    dd = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(dd)
-    while b - a > _PRICE_TOL and a < c < dd < b:
-        if fc >= fd:
-            b, dd, fd = dd, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + _GOLDEN * (b - a)
-            fd = f(dd)
-    return 0.5 * (a + b)
-
-
-def reference_optimize_price(d, u, mp):
-    """One row at a time: scalar bisection of E', golden section when E'(hi) >= 0."""
+def _reference_bracket(d, u, mp):
     validate_market(d, u, mp)
     lo = mp.r * (1.0 + 1e-6)
     hi = d.upper_bracket(mp.r, mp.m)
@@ -354,29 +337,36 @@ def reference_optimize_price(d, u, mp):
         raise ValueError(
             f"no price range above cost: r={mp.r} vs upper bracket {hi} (degenerate parameters)"
         )
-    f = lambda p: profit_derivative(d, u, mp, p)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0:
+    return lo, hi
+
+
+def _scalar_bisect(f, lo, hi):
+    """Midpoint of the final bracket of bisecting f, positive at lo, non-positive at hi."""
+    a, b = lo, hi
+    while b - a > _PRICE_TOL:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        if f(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def reference_optimize_price(d, u, mp):
+    """One row at a time: scalar bisection of g(p) = d(p)/(-d'(p)) - (p - r - m T(p))."""
+    lo, hi = _reference_bracket(d, u, mp)
+    g = lambda p: d.markup(p) - (p - mp.r - mp.m * u.tail_probability(mp.capacity - d.demand(p)))
+    if g(hi) >= 0:
+        raise RuntimeError("the markup gap g is not negative at the upper bracket")
+    if g(lo) <= 0:
         raise ValueError("profit is non-increasing at the cost floor; degenerate parameters")
-    if f_hi < 0:
-        a, b = lo, hi
-        while b - a > _PRICE_TOL:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
-                break
-            if f(mid) > 0:
-                a = mid
-            else:
-                b = mid
-        p_star = 0.5 * (a + b)
-    else:
-        p_star = _reference_golden_max(lambda p: expected_profit(d, u, mp, p), lo, hi)
-        if hi - p_star <= 2.0 * _PRICE_TOL or p_star - lo <= 2.0 * _PRICE_TOL:
-            raise ValueError("no interior stationary point in the search bracket; degenerate parameters")
+    p_star = _scalar_bisect(g, lo, hi)
     dem = d.demand(p_star)
     phi = (p_star - mp.r) * dem
     lam = mp.m * u.partial_overshoot(mp.capacity - dem)
-    return StaticSolution(
+    sol = StaticSolution(
         p_star=p_star,
         expected_profit=phi - lam,
         risk_free_profit=phi,
@@ -384,6 +374,10 @@ def reference_optimize_price(d, u, mp):
         overflow_probability=u.tail_probability(mp.capacity - dem),
         elasticity_at_opt=d.elasticity(p_star),
     )
+    if not all(np.isfinite(list(sol.to_dict().values()))):
+        raise ValueError(
+            f"the solution at p*={p_star!r} has a non-finite field; degenerate parameters")
+    return sol
 
 
 def _outcome(result):
@@ -437,19 +431,37 @@ def test_batched_solve_matches_scalar_reference_on_the_cli_tables(monkeypatch, k
     assert sum(len(problems) for problems, _ in batches) > 1000
     for problems, results in batches:
         assert_batch_matches_reference(problems, results)
+        # the E' bisection that g replaced, without its golden section, gives every row
+        for (d, u, mp), result in zip(problems, results):
+            try:
+                lo, hi = _reference_bracket(d, u, mp)
+            except ValueError as exc:
+                assert _outcome(result) == _outcome(exc)
+                continue
+            e = lambda p: d.demand(p) + d.slope(p) * (
+                p - mp.r - mp.m * u.tail_probability(mp.capacity - d.demand(p)))
+            assert e(hi) < 0
+            if e(lo) <= 0:
+                assert str(result).startswith("profit is non-increasing at the cost floor")
+            else:
+                assert result.p_star == _scalar_bisect(e, lo, hi)
 
 
 UNDERFLOW = (IsoElasticDemand(100.0, 50.0), UncertaintyModel(0.0, 1.0),
              MarketParams(r=1.0, m=1e16, capacity=50.0))
 MIXED_BATCH = [
     (D_REF, U_REF, MP_REF),
-    UNDERFLOW,  # E'(hi) reads >= 0: golden section
+    UNDERFLOW,  # d'(hi) underflows to 0, g(hi) does not
     (LinearDemand(100.0, 10.0), WIDE, MarketParams(r=11.0, m=1.0, capacity=1e6)),  # lo >= hi
-    # d and d' underflow to 0 at the cost floor, so E'(lo) = 0
+    # d and d' underflow to 0 at the cost floor, the markup p/alpha does not
     (IsoElasticDemand(1.0, 400.0), WIDE, MarketParams(r=10.0, m=1.0, capacity=50.0)),
     (LinearDemand(100.0, 10.0), WIDE, big_capacity(None, WIDE, r=2.0)),
     (D_REF, UncertaintyModel(0.0, 200.0), MarketParams(r=1.0, m=1.0, capacity=300.0)),  # b >= C
     (IsoElasticDemand(10.0, 2.0), WIDE, big_capacity(None, WIDE, r=1.0)),
+    # the markup p/alpha at the cost floor is below its margin r 1e-6: g(lo) < 0
+    (IsoElasticDemand(1.0, 1e7), WIDE, MarketParams(r=10.0, m=1.0, capacity=50.0)),
+    # demand overflows to inf at p*, so the profit fields are not finite
+    (IsoElasticDemand(100.0, 400.0), WIDE, MarketParams(r=1e-3, m=0.0, capacity=50.0)),
 ]
 
 
@@ -458,15 +470,45 @@ def test_batched_solve_keeps_each_rows_branch_and_error():
     assert results[0].p_star == optimize_price(D_REF, U_REF, MP_REF).p_star
     assert results[1].p_star == pytest.approx(50.0 / 49.0, rel=1e-9)
     assert str(results[2]).startswith("no price range above cost")
-    assert str(results[3]).startswith("profit is non-increasing at the cost floor")
+    assert results[3].p_star == pytest.approx(400.0 * 10.0 / 399.0, rel=1e-11)
     assert results[4].p_star == pytest.approx(6.0, abs=1e-9)
     assert str(results[5]).startswith("noise support must sit below capacity")
     assert results[6].p_star == pytest.approx(2.0, abs=1e-9)
+    assert str(results[7]).startswith("profit is non-increasing at the cost floor")
+    assert str(results[8]).endswith("has a non-finite field; degenerate parameters")
     assert_batch_matches_reference(MIXED_BATCH)
     assert_batch_matches_reference(MIXED_BATCH[::-1])
     for problem in MIXED_BATCH:
         assert_batch_matches_reference([problem])
     assert optimize_prices([]) == []
+
+
+# (alpha, r, m) over many orders of magnitude, v = 100, C = 50, noise (0, 1)
+ISO_GRID = [(IsoElasticDemand(100.0, alpha), WIDE, MarketParams(r=r, m=m, capacity=50.0))
+            for alpha in (1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 1e3, 1e4)
+            for r in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5, 1e7)
+            for m in (0.0, 1.0, 1e3, 1e8, 1e12, 1e16, 1e20, 1e100)]
+
+
+def test_iso_grid_rows_solve_to_finite_fields_or_fail_cleanly():
+    results = optimize_prices(ISO_GRID)
+    assert len(results) == 728
+    floor_rows = 0
+    for (d, u, mp), result in zip(ISO_GRID, results):
+        if isinstance(result, ValueError):
+            continue
+        assert isinstance(result, StaticSolution)
+        assert np.all(np.isfinite(list(result.to_dict().values())))
+        # E'(lo) <= 0 here failed the cost-floor check of the E' bisection; g solves it
+        lo = mp.r * (1.0 + 1e-6)
+        e_lo = d.demand(lo) + d.slope(lo) * (
+            lo - mp.r - mp.m * u.tail_probability(mp.capacity - d.demand(lo)))
+        if e_lo <= 0:
+            floor_rows += 1
+            p = result.p_star
+            tail = u.tail_probability(mp.capacity - d.demand(p))
+            assert p == pytest.approx(d.alpha * (mp.r + mp.m * tail) / (d.alpha - 1.0), rel=1e-9)
+    assert floor_rows == 144
 
 
 @dataclass(frozen=True)
