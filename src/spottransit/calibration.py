@@ -128,12 +128,27 @@ def derive_regular_cost(inp: CalibrationInput) -> float:
     return r_bar
 
 
+def _finite(what: str, **values) -> None:
+    """Refuse a calibrated quantity that overflowed to a non-finite float."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise CalibrationError(
+                f"calibrated {what} {name} overflows to {value}; "
+                "the scenario's demand scale is too large to price"
+            )
+
+
+def _finite_curve(what: str, curve: DemandSpec) -> DemandSpec:
+    _finite(what, **{k: v for k, v in curve.to_dict().items() if k != "kind"})
+    return curve
+
+
 def derive_spot_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
     """Spot (elastic) demand curve: beta*d̄ at the regular price, elasticity gamma*ᾱ there."""
-    spot = demand_family(kind).calibrated(
+    spot = _finite_curve("spot demand", demand_family(kind).calibrated(
         inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp),
         share=inp.beta, relative=inp.gamma,
-    )
+    ))
     try:
         spot.consumer_surplus(inp.p_bar)
     except DivergentSurplusError as exc:
@@ -143,14 +158,15 @@ def derive_spot_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
 
 def derive_regular_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
     """Aggregate demand curve passing through (p̄, d̄) with elasticity ᾱ there."""
-    return demand_family(kind).calibrated(
+    return _finite_curve("regular demand", demand_family(kind).calibrated(
         inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp), share=1.0, relative=1.0
-    )
+    ))
 
 
 def derive_capacity_and_noise(inp: CalibrationInput) -> tuple[float, UncertaintyModel]:
     """Spot capacity (0.4 + beta) d̄ and the beta-scaled noise model."""
     capacity = (0.4 + inp.beta) * inp.d_bar
+    _finite("spot", capacity=capacity)
     noise = UncertaintyModel(mu=inp.beta * inp.mu, theta=inp.beta * inp.theta)
     if not noise.b < capacity:
         raise CalibrationError(

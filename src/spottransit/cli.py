@@ -15,6 +15,7 @@ and the exported reports carry the converted columns too.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import sys
@@ -304,8 +305,9 @@ def cmd_predict(trace_path: str, window: float):
         "percentile_95": traffic.percentile_95(series),
         **_scalar_fields(report),
     }
-    rows = [{"theoretical_quantile": float(a), "sample_quantile": float(b)}
-            for a, b in report.qq_points]
+    theoretical, sample = report.qq_points.T.tolist()
+    rows = [{"theoretical_quantile": a, "sample_quantile": b}
+            for a, b in zip(theoretical, sample)]
     return meta, rows, ["theoretical_quantile", "sample_quantile"]
 
 
@@ -359,13 +361,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _plain(obj):
+    """JSON stand-in for what json cannot encode: numpy scalars as Python numbers, else str."""
+    return obj.item() if isinstance(obj, np.generic) else str(obj)
+
+
+def _indented(obj) -> str:
+    """A top-level report entry: indented JSON, nested one level (strings hold no newline)."""
+    return json.dumps(obj, indent=2, default=_plain).replace("\n", "\n  ")
+
+
 def export_report(meta: dict, rows: list, columns: list, fmt: str, path):
-    """Write a report; CSV carries the meta as leading '#' comment lines."""
+    """Write a report; CSV carries the meta as leading '#' comment lines.
+
+    JSON keeps the meta and columns indented and puts each row on one line,
+    encoded by json's C encoder (any indent forces its pure-Python one).
+    """
     if fmt == "json":
+        encode = json.JSONEncoder(default=_plain).encode
         with open(path, "w") as fh:
-            json.dump({"meta": meta, "rows": rows, "columns": columns}, fh, indent=2,
-                      default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
-            fh.write("\n")
+            fh.write('{\n  "meta": ' + _indented(meta) + ',\n  "rows": [')
+            sep = "\n    "
+            for row in rows:  # one write per row: the report is never held as one string
+                fh.write(sep + encode(row))
+                sep = ",\n    "
+            fh.write(("\n  ]" if rows else "]") + ',\n  "columns": ' + _indented(columns) + "\n}\n")
     elif fmt == "csv":
         with open(path, "w") as fh:
             for key, value in meta.items():
@@ -388,7 +408,9 @@ def _saved_report(saved, path) -> tuple:
     return meta, rows, columns or (list(rows[0]) if rows else [])
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="spottransit",
         description="Spot-transit pricing toolkit (static optimum, sweeps, dynamic MDP, simulation)",
@@ -417,7 +439,11 @@ def main(argv=None) -> int:
     p_sim.add_argument("--seed", type=int, required=True)
     p_rep = sub.add_parser("report")
     p_rep.add_argument("--in", dest="infile", required=True, help="previously exported JSON report")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _dispatch(args, parser)

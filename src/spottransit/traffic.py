@@ -46,52 +46,144 @@ class TrafficSeries:
         return len(self.values)
 
 
+# Lines that differ only in their ASCII digits parse alike: float() accepts a token
+# exactly when it accepts the token with every digit replaced by 0.  So each distinct
+# digit-masked shape is read once, and the lines of one shape are converted together.
+_MASK_DIGITS = str.maketrans("123456789", "000000000")
+
+
+def _directive(line: str):
+    """The value text of a ``step=`` line (spaces removed), or None for any other line."""
+    low = line.strip().lstrip("#").strip().lower().replace(" ", "")
+    return low.split("=", 1)[1] if low.startswith("step=") else None
+
+
+def _parses(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How every line of one digit-masked shape reads."""
+
+    kind: str          # "blank", "step", "data", or refused: "bad step", "bad", "columns"
+    width: int = 0     # comma-separated fields of a data line
+    keep: tuple = ()   # the non-empty fields: the line's one or two columns
+    cut: int = 0       # whitespace and '#'s before the first field
+
+    @property
+    def refused(self) -> bool:
+        """Whether a line of this shape is an error (line 1 may still be a header)."""
+        return self.kind in ("bad step", "bad", "columns")
+
+
+def _layout(shape: str) -> _Layout:
+    text = shape.strip().lstrip("#").strip()
+    if not text:
+        return _Layout("blank")
+    value = _directive(shape)
+    if value is not None:
+        return _Layout("step" if _parses(value) else "bad step")
+    fields = text.split(",")
+    keep = tuple(j for j, c in enumerate(fields) if c.strip() != "")
+    if not all(_parses(fields[j]) for j in keep):
+        return _Layout("bad")
+    if len(keep) not in (1, 2):
+        return _Layout("columns")
+    return _Layout("data", len(fields), keep,
+                   len(shape) - len(shape.lstrip().lstrip("#").lstrip()))
+
+
+_BLOCK_CHARS = 1 << 16  # lines are read and converted about 64 kB at a time
+
+
+def _read_block(block: list, known: dict):
+    """Classify and convert a block of lines.
+
+    Returns the layouts of the block's distinct shapes, each line's index into
+    them, and per line its column count (0 unless a sample line), timestamp
+    (NaN unless two columns) and value.  ``known`` maps the digit-masked shapes
+    seen so far in the file to their layouts.
+    """
+    shapes = "".join(block).translate(_MASK_DIGITS).split("\n")[:len(block)]
+    ids = {shape: k for k, shape in enumerate(dict.fromkeys(shapes))}
+    layouts = [known[s] if s in known else known.setdefault(s, _layout(s)) for s in ids]
+    shape_of = np.fromiter(map(ids.__getitem__, shapes), dtype=np.intp, count=len(shapes))
+
+    # convert the sample lines of each shape column by column, all in one array call
+    tokens, groups = [], []
+    order = np.argsort(shape_of, kind="stable")
+    for lay, idx in zip(layouts, np.split(order, np.cumsum(np.bincount(shape_of))[:-1])):
+        if lay.kind == "data":
+            fields = ",".join([block[i] for i in idx.tolist()]).split(",")
+            for j in lay.keep:
+                column = fields[j::lay.width]
+                tokens += [f[lay.cut:] for f in column] if j == 0 and lay.cut else column
+            groups.append((idx, len(lay.keep)))
+    values = np.array(tokens, dtype=float)
+    cols = np.zeros(len(block), dtype=np.intp)
+    stamps, gbps = np.full(len(block), np.nan), np.zeros(len(block))
+    at = 0
+    for idx, ncol in groups:
+        rows = values[at:at + ncol * len(idx)].reshape(ncol, len(idx))
+        at += rows.size
+        cols[idx], gbps[idx] = ncol, rows[-1]
+        if ncol == 2:
+            stamps[idx] = rows[0]
+    return layouts, shape_of, cols, stamps, gbps
+
+
 def load_series(path) -> TrafficSeries:
     """Parse a traffic CSV; restore missing slots by linear interpolation.
 
-    The step is the ``step=`` directive if there is one, else the smallest
+    A line is blank, a ``step=`` directive (spaces and a leading ``#`` allowed),
+    or a row of one or two comma-separated numbers (empty fields are skipped, a
+    leading ``#`` is dropped); an unparseable first line is a header.  The first
+    line that breaks these rules, or holds a negative value, is reported.  The
+    step is the last ``step=`` directive if there is one, else the smallest
     timestamp spacing, else 300 s (bare values or a single timestamped row).
     """
-    rows = []
+    known = {}  # digit-masked shape -> _Layout, each classified once per file
+    samples = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]  # (columns, stamp, value)
     step_directive = None
+    lineno = 0  # lines before the block
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip().lstrip("#").strip()
-            if not text:
-                continue
-            low = text.lower().replace(" ", "")
-            if low.startswith("step="):
-                step_directive = float(low.split("=", 1)[1])
-                continue
-            parts = [c.strip() for c in text.split(",") if c.strip() != ""]
-            try:
-                nums = [float(c) for c in parts]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row such as "timestamp,gbps"
-                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
-            if len(nums) == 1:
-                ts = None
-                gbps = nums[0]
-            elif len(nums) == 2:
-                ts, gbps = nums
-            else:
-                raise ValueError(f"{path}: expected 1 or 2 columns at line {lineno}")
-            if gbps < 0:
-                raise ValueError(f"{path}: negative traffic value at line {lineno}")
-            rows.append((ts, gbps))
-    if not rows:
-        raise ValueError(f"{path}: no samples found")
+        while block := fh.readlines(_BLOCK_CHARS):
+            layouts, shape_of, cols, stamps, gbps = _read_block(block, known)
+            refused = np.array([lay.refused for lay in layouts])[shape_of] | (gbps < 0)
+            if lineno == 0:
+                refused[0] &= layouts[shape_of[0]].kind != "bad"  # a header row such as "timestamp,gbps"
+            if refused.any():
+                i = int(np.argmax(refused))
+                kind, line = layouts[shape_of[i]].kind, block[i]
+                if kind == "bad step":
+                    float(_directive(line))  # raises the conversion error
+                if kind == "bad":
+                    raise ValueError(f"{path}: unparseable row at line {lineno + i + 1}: {line!r}")
+                if kind == "columns":
+                    raise ValueError(f"{path}: expected 1 or 2 columns at line {lineno + i + 1}")
+                raise ValueError(f"{path}: negative traffic value at line {lineno + i + 1}")
+            steps = np.flatnonzero(np.array([lay.kind == "step" for lay in layouts])[shape_of])
+            if len(steps):
+                step_directive = float(_directive(block[steps[-1]]))
+            rows = np.flatnonzero(cols)
+            samples.append((cols[rows], stamps[rows], gbps[rows]))
+            lineno += len(block)
 
-    timestamps = [ts for ts, _ in rows]
+    cols, ts, vals = (np.concatenate(part) for part in zip(*samples))
+    if not len(cols):
+        raise ValueError(f"{path}: no samples found")
     step = _DEFAULT_STEP if step_directive is None else step_directive
-    if all(ts is None for ts in timestamps):
-        return TrafficSeries(0.0, step, np.array([g for _, g in rows]))
-    if any(ts is None for ts in timestamps):
+    bare = cols == 1
+    if bare.all():
+        return TrafficSeries(0.0, step, vals)
+    if bare.any():
         raise ValueError(f"{path}: mixed bare and timestamped rows")
 
-    ts = np.array(timestamps, dtype=float)
-    vals = np.array([g for _, g in rows], dtype=float)
     diffs = np.diff(ts)
     if np.any(diffs <= 0):
         bad = int(np.argmax(diffs <= 0)) + 2

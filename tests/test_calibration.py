@@ -146,3 +146,16 @@ def test_calibrate_rejects_bad_ratios():
         calibrate(LONDON, m_ratio=-1.0)
     with pytest.raises(ValueError):
         derive_spot_demand(LONDON, "loglog")
+
+
+@pytest.mark.parametrize("inp,kind,field", [
+    (replace(LONDON, d_bar=1e308), "iso", "spot demand v"),
+    (replace(LONDON, d_bar=1e308, beta=0.2), "linear", "regular demand v"),
+    (CalibrationInput(p_bar=1.0, d_bar=1.3e308, beta=0.99), "iso", "spot capacity"),
+])
+def test_calibrate_refuses_parameters_that_overflow(inp, kind, field):
+    # refused before the penalty check, so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CalibrationError, match=f"calibrated {field} overflows to inf"):
+            calibrate(inp, kind=kind)

@@ -1,13 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spottransit import cli
 from spottransit.cli import (
     SWEEP_DEFAULTS,
     cmd_calibrate,
+    cmd_mdp,
     cmd_predict,
+    cmd_simulate,
     cmd_static,
     cmd_sweep,
     cmd_worst_case,
@@ -175,7 +182,7 @@ def test_export_roundtrip(tmp_path):
     assert len(saved["rows"]) == len(rows)
     for orig, back in zip(rows, saved["rows"]):
         for key in columns:
-            assert back[key] == orig[key] or back[key] == pytest.approx(orig[key])
+            assert back[key] == orig[key]
 
     cpath = tmp_path / "out.csv"
     export_report(meta, rows, columns, "csv", cpath)
@@ -326,8 +333,9 @@ def test_main_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, saved
 
 
 def test_main_static_rejects_demand_that_overflows_at_the_optimum(tmp_path, capsys):
+    # calibrates to finite parameters; the cheap penalty puts p* where demand overflows
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps({"ixp": "linx", "d_bar": 1e308}))
+    path.write_text(json.dumps({"p_bar": 1.0, "d_bar": 1.7e308, "beta": 0.5, "m_ratio": 0.01}))
     line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), "static"], capsys)
     assert "degenerate parameters" in line
     assert not (tmp_path / "r.json").exists()
@@ -462,3 +470,123 @@ def test_main_predict_csv(tmp_path):
     lines = [l for l in (tmp_path / "qq.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "theoretical_quantile,sample_quantile"
     assert len(lines) == 1 + 2 * 2016  # one Q-Q pair per week-ahead residual
+
+
+def reference_export_json(meta, rows, columns, path):
+    """The indent=2 writer that export_report's JSON branch replaced, kept as the reference."""
+    with open(path, "w") as fh:
+        json.dump({"meta": meta, "rows": rows, "columns": columns}, fh, indent=2,
+                  default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
+        fh.write("\n")
+
+
+MDP_CONFIG = {"capacity": 10, "arrival": [24.0, 0.0, -1.5], "departure": [0.0, 0.3],
+              "p_max": 4.0, "price_points": 200}
+
+
+def _mdp_config(tmp_path) -> str:
+    path = tmp_path / "mdp.json"
+    path.write_text(json.dumps(MDP_CONFIG))
+    return str(path)
+
+
+def _noisy_trace(tmp_path) -> str:
+    n = 3 * 2016
+    t = np.arange(n) * 300.0
+    vals = 100.0 + 10.0 * np.sin(2 * np.pi * (t % 604800.0) / 86400.0)
+    vals += np.random.default_rng(3).normal(0, 2.0, n)
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp,gbps\n" + "".join(f"{int(a)},{b:.4f}\n" for a, b in zip(t, vals)))
+    return str(path)
+
+
+REPORTS = {
+    "calibrate": lambda tmp: cmd_calibrate(load_scenario(LINX_SCENARIO)),
+    "static": lambda tmp: cmd_static(load_scenario(LINX_SCENARIO)),
+    "sweep": lambda tmp: cmd_sweep(load_scenario(LINX_SCENARIO), "gamma", [1.1, 1.5]),
+    "worst-case": lambda tmp: cmd_worst_case(load_scenario(LINX_SCENARIO)),
+    "predict": lambda tmp: cmd_predict(_noisy_trace(tmp), 604800.0),
+    "mdp": lambda tmp: cmd_mdp(_mdp_config(tmp), "pi", 1e-9)[:3],
+    "simulate": lambda tmp: cmd_simulate(_mdp_config(tmp), 5000.0, None, 42),
+    "no rows": lambda tmp: ({"command": "x"}, [], ["a", "b"]),
+    "numpy scalars": lambda tmp: (
+        {"n": np.int64(3), "x": np.float64(0.25), "ok": np.bool_(True), "grid": [np.int32(1)]},
+        [{"a": np.float64(1.5), "b": np.int64(2), "c": np.bool_(False)}], ["a", "b", "c"]),
+    "non-finite": lambda tmp: (
+        {"command": "x", "bound": math.inf},
+        [{"a": math.nan, "b": -math.inf}, {"a": 1.0, "b": math.inf}], ["a", "b"]),
+}
+
+
+def _parsed(path):
+    # NaN never equals NaN, so non-finite constants are compared by their JSON spelling
+    return json.loads(Path(path).read_text(), parse_constant=lambda name: name)
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_json_report_parses_as_the_indented_writer_with_one_row_per_line(tmp_path, name):
+    meta, rows, columns = REPORTS[name](tmp_path)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    export_report(meta, rows, columns, "json", new)
+    reference_export_json(meta, rows, columns, old)
+    assert _parsed(new) == _parsed(old)
+
+    lines = new.read_text().splitlines()
+    assert lines[0] == "{" and lines[1] == '  "meta": {' and lines[-1] == "}"
+    row_lines = [line for line in lines if line.startswith("    {")]
+    assert len(row_lines) == len(rows)
+    for line, row in zip(row_lines, _parsed(new)["rows"]):
+        assert json.loads(line.removesuffix(","), parse_constant=lambda c: c) == row
+    assert new.stat().st_size <= old.stat().st_size
+
+    # re-exporting either file as CSV gives the same bytes
+    for path, stem in ((new, "new_csv"), (old, "old_csv")):
+        assert main(["--out", str(tmp_path / stem), "--format", "csv",
+                     "report", "--in", str(path)]) == 0
+    assert (tmp_path / "new_csv.csv").read_bytes() == (tmp_path / "old_csv.csv").read_bytes()
+
+
+def test_main_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"ixp": "linx", "beta": 0.5}))
+    out = tmp_path / "r"
+    report = tmp_path / "r.json"
+    base = ["--scenario", str(scn), "--out", str(out)]
+
+    assert main(base + ["--format", "csv", "sweep", "--param", "gamma", "--values", "1.5"]) == 0
+    assert not report.exists()
+    assert main(base + ["sweep", "--param", "gamma"]) == 0
+    rows = json.loads(report.read_text())["rows"]
+    assert [r["sweep_value"] for r in rows] == SWEEP_DEFAULTS["gamma"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["sweep", "--param", "alpha"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(base + ["static"]) == 0
+    assert json.loads(report.read_text())["meta"]["command"] == "static"
+
+    cfg = _mdp_config(tmp_path)
+    assert main(["--out", str(out), "mdp", "--config", cfg, "--algorithm", "rvi"]) == 0
+    assert json.loads(report.read_text())["meta"]["algorithm"] == "rvi"
+    assert main(["--out", str(out), "mdp", "--config", cfg]) == 0
+    assert json.loads(report.read_text())["meta"]["algorithm"] == "pi"
+
+
+@pytest.mark.parametrize("kind,command", [("linear", "static"), ("iso", "calibrate")])
+def test_cli_calibration_overflow_is_one_error_line(tmp_path, kind, command):
+    # run as a program: outside pytest, any warning would reach stderr
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"ixp": "linx", "kind": kind, "d_bar": 1e308}))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "spottransit.cli", "--scenario", str(scn),
+         "--out", str(tmp_path / "r"), command],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+    assert "demand v overflows to inf" in lines[0]
+    assert not (tmp_path / "r.json").exists()

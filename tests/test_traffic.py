@@ -1,8 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spottransit import traffic
 from spottransit.traffic import (
     TrafficSeries,
     load_series,
@@ -20,6 +25,84 @@ def write(tmp_path, text, name="trace.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+_DEFAULT_STEP = 300.0
+
+
+def reference_load_series(path) -> TrafficSeries:
+    """The line-by-line parser that load_series replaced, kept as the oracle."""
+    rows = []
+    step_directive = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip().lstrip("#").strip()
+            if not text:
+                continue
+            low = text.lower().replace(" ", "")
+            if low.startswith("step="):
+                step_directive = float(low.split("=", 1)[1])
+                continue
+            parts = [c.strip() for c in text.split(",") if c.strip() != ""]
+            try:
+                nums = [float(c) for c in parts]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row such as "timestamp,gbps"
+                raise ValueError(f"{path}: unparseable row at line {lineno}: {line!r}")
+            if len(nums) == 1:
+                ts = None
+                gbps = nums[0]
+            elif len(nums) == 2:
+                ts, gbps = nums
+            else:
+                raise ValueError(f"{path}: expected 1 or 2 columns at line {lineno}")
+            if gbps < 0:
+                raise ValueError(f"{path}: negative traffic value at line {lineno}")
+            rows.append((ts, gbps))
+    if not rows:
+        raise ValueError(f"{path}: no samples found")
+
+    timestamps = [ts for ts, _ in rows]
+    step = _DEFAULT_STEP if step_directive is None else step_directive
+    if all(ts is None for ts in timestamps):
+        return TrafficSeries(0.0, step, np.array([g for _, g in rows]))
+    if any(ts is None for ts in timestamps):
+        raise ValueError(f"{path}: mixed bare and timestamped rows")
+
+    ts = np.array(timestamps, dtype=float)
+    vals = np.array([g for _, g in rows], dtype=float)
+    diffs = np.diff(ts)
+    if np.any(diffs <= 0):
+        bad = int(np.argmax(diffs <= 0)) + 2
+        raise ValueError(f"{path}: timestamps not strictly increasing near line {bad}")
+    if len(ts) == 1:
+        return TrafficSeries(ts[0], step, vals)
+
+    if step_directive is None:
+        step = float(diffs.min())
+    ratio = diffs / step
+    if np.any(np.abs(ratio - np.round(ratio)) > 1e-6):
+        raise ValueError(f"{path}: sample spacing is not a multiple of the step {step}")
+
+    full_ts = np.arange(ts[0], ts[-1] + 0.5 * step, step)
+    filled = np.interp(full_ts, ts, vals)
+    gaps = len(full_ts) - len(ts)
+    if gaps > 0:
+        warnings.warn(f"{path}: filled {gaps} missing sample(s) by linear interpolation")
+    return TrafficSeries(ts[0], step, filled, gaps_filled=gaps)
+
+
+def parse_outcome(load, path):
+    """What a parser makes of a file: the series bits and warnings, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = load(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return (repr(s.start_time), repr(s.step), s.gaps_filled, s.values.dtype,
+            s.values.tobytes(), [str(w.message) for w in caught])
 
 
 def diurnal(n_weeks, noise_sd=0.0, seed=0, base=100.0, amp=40.0):
@@ -159,3 +242,131 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["residual_count"] == rep.residual_count
     assert len(d["qq_points"]) == rep.residual_count
+
+
+HEADERS = ["timestamp,gbps", "ts, value", "# time series", "#", "Time,Gbps,Extra"]
+DIRECTIVES = ["step=60", "# step = 300", "STEP=1e2", "#step=6 0"]
+BAD_DIRECTIVES = ["step=abc", "step=0", " # STEP = -5", "step=", "step=60,1"]
+BLANK_LINES = ["", "   ", "#", "\t", "# "]
+JUNK_LINES = ["# note", "#  a, b", ",", " , ,"]
+GOOD_VALUES = ["1.0", "0", "-0", "2.5e1", "1_000", "+3", ".5", "7.", " 8 ", "inf", "nan"]
+BAD_VALUES = ["oops", "1-2", "--1", "1__0", "e5", "0x10", "1.2.3", "-1.5", "-inf", "#4"]
+
+
+@st.composite
+def trace_texts(draw):
+    """A traffic CSV mixing every line form load_series reads or refuses.
+
+    Most files are all-timestamped or all-bare and most values are plain
+    numbers, so that about a quarter of the files parse and the rest fail in
+    every way the parser reports.
+    """
+    number = st.one_of(st.floats(0, 1e4, allow_nan=False).map(repr),
+                       st.integers(0, 10**4).map(str))
+    value = st.sampled_from([number] * 18 + [st.sampled_from(GOOD_VALUES),
+                                             st.sampled_from(BAD_VALUES)]).flatmap(lambda v: v)
+    step = draw(st.sampled_from([60, 300]))
+    t = draw(st.integers(0, 10**6))
+    main_form = draw(st.sampled_from(["stamped", "bare"]))
+    lines = [draw(st.sampled_from(HEADERS))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 14))):
+        form = draw(st.sampled_from(
+            [main_form] * 40 + ["gap", "directive", "blank", "blank", "three", "junk", "bad"]))
+        if form in ("stamped", "gap", "three"):
+            # mostly on the step grid; sometimes a repeat, a step back or an off-step stamp
+            t += step * draw(st.sampled_from([1] * 6 + [2, 3, 0, -1])) + draw(
+                st.sampled_from([0] * 9 + [7]))
+            stamp = draw(st.sampled_from([str(t), f"{t}.0", f"{t:e}", f" {t} "]))
+            gbps = draw(value)
+            if form == "stamped":
+                row = draw(st.sampled_from([f"{stamp},{gbps}"] * 4 + [
+                    f"{stamp}, {gbps}", f"#{stamp},{gbps}", f" # {stamp},,{gbps} "]))
+            elif form == "gap":
+                row = f"{stamp},,{gbps}"
+            else:
+                row = f"{stamp},{gbps},{draw(value)}"
+        elif form == "bare":
+            row = draw(st.sampled_from(["{}"] * 4 + [" {} ", ",{}", "{},", "# {}"])).format(
+                draw(value))
+        elif form == "directive":
+            row = draw(st.sampled_from(DIRECTIVES * 2 + BAD_DIRECTIVES))
+        elif form in ("blank", "junk"):
+            row = draw(st.sampled_from(BLANK_LINES if form == "blank" else JUNK_LINES))
+        else:
+            row = draw(st.sampled_from(BAD_VALUES)) + "," + draw(value)
+        lines.append(row)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.booleans()) else ""
+    return newline.join(lines) + end
+
+
+# corner cases of the line rules, kept as fixed regression examples (the generated runs
+# found no disagreement to shrink)
+PARSE_EXAMPLES = [
+    "timestamp,gbps\r\n0,1.0\r\n300,2.0\r\n",
+    "0,,1.0\n300,,2.0\n",
+    "# 5\n# 6\n",
+    " # 0 , 1.0 \n300,2\n",
+    "# note\n0,1\n",
+    "0,1\n# note\n",
+    "step=abc\n0,oops\n",
+    "0,oops\nstep=abc\n",
+    "0,1,2\n300,-1\n",
+    "0,-0\n300,-1\n",
+    "1\n2\n300,3\n",
+    "step=60\n1\n2\nstep=30\n",
+    "0,1\n0,2\n",
+    "0,1\n300,2\n450,3\n",
+    "0,nan\n300,inf\n",
+    "1_000,2\n1_300,3\n",
+    "ts,#\n",
+    "\r\r\n",
+    "",
+]
+
+
+def _same_outcome(path, block):
+    """load_series, reading `block` characters of lines at a time, agrees with the reference."""
+    with mock.patch.object(traffic, "_BLOCK_CHARS", block):
+        got = parse_outcome(load_series, path)
+    return got == parse_outcome(reference_load_series, path)
+
+
+@pytest.mark.parametrize("block", [1, traffic._BLOCK_CHARS])
+@pytest.mark.parametrize("text", PARSE_EXAMPLES)
+def test_load_series_matches_the_line_parser_on_corner_cases(tmp_path, text, block):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    assert _same_outcome(path, block)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=trace_texts(), block=st.sampled_from([1, 20, 60, traffic._BLOCK_CHARS]))
+def test_load_series_matches_the_line_parser(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes(text.encode())
+    assert _same_outcome(path, block)
+
+
+def test_load_series_reads_a_long_trace_across_blocks(tmp_path):
+    # 12 weeks of 5-minute samples with gaps: many blocks, bit-identical to the line parser
+    n = 12 * SAMPLES_PER_WEEK
+    rng = np.random.default_rng(11)
+    vals = 500.0 + 100.0 * np.sin(np.arange(n) / 288.0 * 2 * np.pi) + rng.normal(0, 5.0, n)
+    keep = np.ones(n, dtype=bool)
+    keep[rng.choice(np.arange(1, n - 1), size=n // 100, replace=False)] = False
+    rows = [f"{1_300_000_000 + 300 * i},{vals[i]:.4f}\n" for i in np.flatnonzero(keep)]
+    path = write(tmp_path, "timestamp,gbps\n" + "".join(rows))
+    assert path.stat().st_size > 4 * traffic._BLOCK_CHARS
+    assert _same_outcome(path, traffic._BLOCK_CHARS)
+    with pytest.warns(UserWarning, match=f"filled {n // 100} missing"):
+        assert len(load_series(path)) == n
+    # a refusal deep in the file names its line, counted across blocks
+    for line, bad, needle in ((5000, "1,2,3", "expected 1 or 2 columns at line 5000"),
+                              (20000, "1,-2", "negative traffic value at line 20000")):
+        text = list(rows)
+        text[line - 2] = bad + "\n"
+        path = write(tmp_path, "timestamp,gbps\n" + "".join(text))
+        with pytest.raises(ValueError, match=needle):
+            load_series(path)
+        assert _same_outcome(path, traffic._BLOCK_CHARS)
