@@ -53,6 +53,7 @@ from .traffic import (
     TrafficSeries,
     load_series,
     percentile_95,
+    persistence_residuals,
     predict_persistence,
     prediction_errors,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -58,6 +59,20 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+def _sweep_values(text: str) -> list:
+    """The ``--values`` grid: comma-separated finite numbers; a bad entry is refused by name."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"--values entries must be finite numbers, got {entry!r}")
+        values.append(value)
+    return values
+
+
 def load_scenario(source) -> Scenario:
     """Accept a path to a scenario JSON file or an already-parsed dict."""
     if isinstance(source, dict):
@@ -91,9 +106,9 @@ def load_scenario(source) -> Scenario:
         if not isinstance(obj["trace"], str):
             raise ValueError(f"scenario trace must be a path string, got {obj['trace']!r}")
         series = traffic.load_series(obj["trace"])
-        report = traffic.prediction_errors(series)
-        fields.update(d_bar=traffic.percentile_95(series), mu=report.residual_mean,
-                      theta=report.residual_sd, demand_source=f"trace p95 ({obj['trace']})")
+        _, mu, theta = traffic.persistence_residuals(series)  # no Q-Q data: only the moments
+        fields.update(d_bar=traffic.percentile_95(series), mu=mu, theta=theta,
+                      demand_source=f"trace p95 ({obj['trace']})")
     elif sources == ["d_bar"]:
         fields.update(d_bar=_number("d_bar", obj["d_bar"]), demand_source="explicit")
     # an IXP supplies its region price, noise and the 0.9*peak demand proxy
@@ -462,7 +477,7 @@ def _dispatch(args, parser) -> int:
         elif args.command == "static":
             meta, rows, columns = cmd_static(scn)
         elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",")] if args.values else None
+            values = None if args.values is None else _sweep_values(args.values)
             meta, rows, columns = cmd_sweep(scn, args.param, values)
         else:
             meta, rows, columns = cmd_worst_case(scn)

@@ -53,8 +53,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 # Largest capacity and price grid from_config accepts.  A greedy step holds a
 # few arrays of (K+1) x c candidate cells, c = 6 per special point per state
@@ -236,6 +234,12 @@ def policy_rates(spec: MdpSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]
     return _chain_rates(spec, validate_policy(spec, policy))
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) with the maximum shifted out; the maximum must be finite."""
+    top = x.max()
+    return top + np.log(np.sum(np.exp(x - top)))
+
+
 def _stationary_law(lam: np.ndarray, dlt: np.ndarray) -> tuple[np.ndarray, int]:
     """Stationary law of the birth-death chain with per-state rates lam, dlt
     started empty, and the top state of its recurrent class.
@@ -258,7 +262,7 @@ def _stationary_law(lam: np.ndarray, dlt: np.ndarray) -> tuple[np.ndarray, int]:
         log_ratio = np.log(lam[n_lo:n_hi]) - np.log(dlt[n_lo + 1 : n_hi + 1])
     log_w = np.concatenate([[0.0], np.cumsum(log_ratio)])
     pi = np.zeros(K + 1)
-    pi[n_lo : n_hi + 1] = np.exp(log_w - logsumexp(log_w))
+    pi[n_lo : n_hi + 1] = np.exp(log_w - _logsumexp(log_w))  # log_w[0] = 0 is finite
     return pi / pi.sum(), n_hi
 
 
@@ -451,6 +455,8 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
     state m, splits them into two tridiagonal blocks solved in one banded
     call; h is then shifted to h_K = 0.
     """
+    import scipy.linalg  # loaded on first use: the static path never evaluates a policy
+
     K = spec.capacity
     states, prices = np.arange(K + 1), spec.price_grid[idx]
     lam, dlt = _chain_rates(spec, idx)

@@ -28,11 +28,12 @@ market whose fields are arrays, and one bisection loop halves every
 bracket together.  A row stops by the rule above, by itself, while the
 others go on, so each row sees the midpoints a lone solve would see.
 The stacked g and solution fields do per element what the scalar code
-does with the same IEEE operations (numpy ``power`` and scipy ``ndtr``
-give the same bits on arrays as on scalars), so the prices come out bit
-for bit as one row at a time.  A row keeps its own error when its bracket
-is empty, its g is not positive at the cost floor, or its solution has a
-non-finite field (demand that overflows at the optimum).
+does with the same IEEE operations (numpy ``power`` works per element, and
+the noise model's normal CDF applies the stdlib ``math.erfc`` to each
+element), so the prices come out bit for bit as one row at a time.  A row
+keeps its own error when its bracket is empty, its g is not positive at
+the cost floor, or its solution has a non-finite field (demand that
+overflows at the optimum).
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri  # standard normal quantile
 
 from .record import Record
 
@@ -148,7 +148,8 @@ def load_series(path) -> TrafficSeries:
     timestamp spacing, else 300 s (bare values or a single timestamped row).
     """
     known = {}  # digit-masked shape -> _Layout, each classified once per file
-    samples = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]  # (columns, stamp, value)
+    # (columns, stamp, value, file line) of the sample lines
+    samples = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))]
     step_directive = None
     lineno = 0  # lines before the block
     with open(path) as fh:
@@ -171,10 +172,10 @@ def load_series(path) -> TrafficSeries:
             if len(steps):
                 step_directive = float(_directive(block[steps[-1]]))
             rows = np.flatnonzero(cols)
-            samples.append((cols[rows], stamps[rows], gbps[rows]))
+            samples.append((cols[rows], stamps[rows], gbps[rows], lineno + rows + 1))
             lineno += len(block)
 
-    cols, ts, vals = (np.concatenate(part) for part in zip(*samples))
+    cols, ts, vals, lines = (np.concatenate(part) for part in zip(*samples))
     if not len(cols):
         raise ValueError(f"{path}: no samples found")
     step = _DEFAULT_STEP if step_directive is None else step_directive
@@ -186,8 +187,8 @@ def load_series(path) -> TrafficSeries:
 
     diffs = np.diff(ts)
     if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0)) + 2
-        raise ValueError(f"{path}: timestamps not strictly increasing near line {bad}")
+        bad = lines[int(np.argmax(diffs <= 0)) + 1]  # the later sample of the first bad pair
+        raise ValueError(f"{path}: timestamps not strictly increasing at line {bad}")
     if len(ts) == 1:
         return TrafficSeries(ts[0], step, vals)
 
@@ -247,6 +248,15 @@ class PredictionReport(Record):
     degenerate: bool = False
 
 
+def persistence_residuals(s: TrafficSeries, window: float = 604800.0):
+    """Residuals (actual - persistence forecast), their mean, and their sample
+    sd (0 for a single residual)."""
+    w = _window_samples(s, window)
+    residuals = s.values[w:] - s.values[:-w]
+    sd = float(residuals.std(ddof=1)) if len(residuals) > 1 else 0.0
+    return residuals, float(residuals.mean()), sd
+
+
 def prediction_errors(s: TrafficSeries, window: float = 604800.0) -> PredictionReport:
     """Residual statistics (actual - persistence forecast) and normal Q-Q data.
 
@@ -254,14 +264,13 @@ def prediction_errors(s: TrafficSeries, window: float = 604800.0) -> PredictionR
     sorted residuals.  A constant residual vector cannot be
     standardized and is flagged as degenerate.
     """
-    w = _window_samples(s, window)
-    residuals = s.values[w:] - s.values[:-w]
+    residuals, mean, sd = persistence_residuals(s, window)
     n = len(residuals)
-    mean = float(residuals.mean())
-    sd = float(residuals.std(ddof=1)) if n > 1 else 0.0
     if sd == 0.0:
         return PredictionReport(mean, sd, n, np.empty((0, 2)), degenerate=True)
     positions = np.arange(1, n + 1) / (n + 1.0)
-    qq = np.column_stack([ndtri(positions), np.sort((residuals - mean) / sd)])
+    # Wichura's AS241 normal quantile (Applied Statistics 37(3), 1988)
+    quantiles = np.array(list(map(NormalDist().inv_cdf, positions.tolist())))
+    qq = np.column_stack([quantiles, np.sort((residuals - mean) / sd)])
     return PredictionReport(mean, sd, n, qq)
 

@@ -23,6 +23,7 @@ from spottransit.cli import (
     main,
 )
 from spottransit.mdp import MdpSpec, policy_iteration, policy_rates
+from spottransit.traffic import load_series, prediction_errors
 
 LINX_SCENARIO = {"ixp": "linx", "kind": "iso", "beta": [0.2, 0.5, 0.7]}
 
@@ -73,6 +74,9 @@ def test_load_scenario_from_trace(tmp_path):
     assert scn.inp.d_bar == pytest.approx(140.0, abs=1.0)  # p95 of the sinusoid
     assert scn.inp.demand_source.startswith("trace p95")
     assert scn.inp.theta == pytest.approx(np.sqrt(2.0) * 0.5, rel=0.1)
+    # the noise is the residual moments of the Q-Q report, without computing its Q-Q data
+    report = prediction_errors(load_series(path))
+    assert (scn.inp.mu, scn.inp.theta) == (report.residual_mean, report.residual_sd)
 
     # a noiseless trace has zero residual sd: no noise model, rejected at load
     path.write_text("\n".join(f"{int(ts)},{v:.6f}" for ts, v in zip(t, vals)) + "\n")
@@ -574,19 +578,69 @@ def test_main_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, cap
     assert json.loads(report.read_text())["meta"]["algorithm"] == "pi"
 
 
+def _run_python(args: list, cwd) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this package's source first on its path."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("kind,command", [("linear", "static"), ("iso", "calibrate")])
 def test_cli_calibration_overflow_is_one_error_line(tmp_path, kind, command):
     # run as a program: outside pytest, any warning would reach stderr
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps({"ixp": "linx", "kind": kind, "d_bar": 1e308}))
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-m", "spottransit.cli", "--scenario", str(scn),
-         "--out", str(tmp_path / "r"), command],
-        env=env, capture_output=True, text=True, timeout=120)
+    run = _run_python(["-m", "spottransit.cli", "--scenario", str(scn),
+                       "--out", str(tmp_path / "r"), command], tmp_path)
     assert run.returncode == 2
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
     assert "demand v overflows to inf" in lines[0]
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("values,entry", [
+    ("", "''"), ("0.3,,0.5", "''"), ("nan", "'nan'"), ("inf", "'inf'"), ("0.5,-inf", "'-inf'"),
+    ("1.1,abc", "'abc'"),
+])
+def test_main_sweep_rejects_a_bad_values_entry(tmp_path, capsys, values, entry):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"ixp": "linx", "beta": 0.5}))
+    argv = ["--scenario", str(scn), "--out", str(tmp_path / "r"),
+            "sweep", "--param", "gamma", f"--values={values}"]
+    line = _run_error(argv, capsys)
+    assert "--values" in line and line.endswith(f"got {entry}")
+    assert not (tmp_path / "r.json").exists()
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_import_and_static_commands_load_no_scipy(tmp_path):
+    (tmp_path / "scn.json").write_text(json.dumps(LINX_SCENARIO))
+    trace = _noisy_trace(tmp_path)
+    run = _run_python(["-c", f"""
+import sys
+import spottransit, spottransit.cli
+print({SCIPY_LOADED})
+for argv in (["static"], ["sweep", "--param", "gamma"], ["predict", "--trace", {trace!r}]):
+    assert spottransit.cli.main(["--scenario", "scn.json", "--out", "r"] + argv) == 0
+print({SCIPY_LOADED})
+"""], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "[]"
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_mdp_command_loads_scipy_linalg_on_first_use(tmp_path):
+    run = _run_python(["-c", f"""
+import sys
+import spottransit.cli
+assert not {SCIPY_LOADED}
+assert spottransit.cli.main(["--out", "r", "mdp", "--config", {_mdp_config(tmp_path)!r}]) == 0
+print("scipy.linalg" in sys.modules)
+"""], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "True"
+    assert json.loads((tmp_path / "r.json").read_text())["meta"]["structure"]["price_monotone"]

@@ -115,6 +115,36 @@ def test_steady_state_normalization_and_balance():
         assert np.max(np.abs(flows_up - flows_dn)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("x", [
+    [0.0], [0.0, -np.inf], [0.0, -np.inf, -1.0, -745.0, -np.inf], [0.0, 700.0, 699.5, -np.inf],
+    [0.0, -1e-300, 1e-300], list(-np.abs(np.random.default_rng(5).normal(0, 30, 200))),
+])
+def test_logsumexp_matches_scipy(x):
+    from scipy.special import logsumexp
+
+    x = np.array(x)
+    assert mdp._logsumexp(x) == pytest.approx(logsumexp(x), rel=1e-15, abs=1e-15)
+
+
+def test_steady_state_matches_scipy_logsumexp_on_a_ceiling_policy():
+    from scipy.special import logsumexp
+
+    spec = make_spec([0.0, 0.3], capacity=40, n_prices=200)
+    null = len(spec.price_grid) - 1
+    rng = np.random.default_rng(71)
+    # arrivals shut off from state 25 on, so the product form stops there
+    pol = Policy(spec.price_grid[np.append(np.sort(rng.integers(0, null, size=25)),
+                                           np.full(16, null))])
+    lam, dlt = policy_rates(spec, pol)
+    log_w = np.concatenate([[0.0], np.cumsum(np.log(lam[:25]) - np.log(dlt[1:26]))])
+    ref = np.zeros(41)
+    ref[:26] = np.exp(log_w - logsumexp(log_w))
+    ref /= ref.sum()
+    pi = steady_state(spec, pol)
+    assert np.all(pi[26:] == 0.0) and pi[25] > 0.0
+    np.testing.assert_allclose(pi, ref, rtol=1e-14, atol=0)
+
+
 def test_average_revenue_k1():
     assert average_revenue(K1_SPEC, K1_POLICY) == pytest.approx(80.0 / 21.0, rel=1e-12)
     spec0 = MdpSpec(3, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))

@@ -59,23 +59,23 @@ def reference_load_series(path) -> TrafficSeries:
                 raise ValueError(f"{path}: expected 1 or 2 columns at line {lineno}")
             if gbps < 0:
                 raise ValueError(f"{path}: negative traffic value at line {lineno}")
-            rows.append((ts, gbps))
+            rows.append((ts, gbps, lineno))
     if not rows:
         raise ValueError(f"{path}: no samples found")
 
-    timestamps = [ts for ts, _ in rows]
+    timestamps = [ts for ts, _, _ in rows]
     step = _DEFAULT_STEP if step_directive is None else step_directive
     if all(ts is None for ts in timestamps):
-        return TrafficSeries(0.0, step, np.array([g for _, g in rows]))
+        return TrafficSeries(0.0, step, np.array([g for _, g, _ in rows]))
     if any(ts is None for ts in timestamps):
         raise ValueError(f"{path}: mixed bare and timestamped rows")
 
     ts = np.array(timestamps, dtype=float)
-    vals = np.array([g for _, g in rows], dtype=float)
+    vals = np.array([g for _, g, _ in rows], dtype=float)
     diffs = np.diff(ts)
     if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0)) + 2
-        raise ValueError(f"{path}: timestamps not strictly increasing near line {bad}")
+        bad = rows[int(np.argmax(diffs <= 0)) + 1][2]
+        raise ValueError(f"{path}: timestamps not strictly increasing at line {bad}")
     if len(ts) == 1:
         return TrafficSeries(ts[0], step, vals)
 
@@ -134,6 +134,21 @@ def test_load_with_header_and_gap(tmp_path):
 def test_load_malformed_row_names_line(tmp_path):
     with pytest.raises(ValueError, match="line 3"):
         load_series(write(tmp_path, "0,1.0\n300,2.0\n600,oops\n"))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("timestamp,gbps\n0,1\n300,2\n300,3\n", 4),
+    # a commented header, a directive, blank and bare-'#' lines (a '#' before text is data)
+    ("# timestamp,gbps\nstep=300\n\n0,1\n#\n300,2\n\n# \n300,3\n600,4\n", 9),
+    ("0,1\n300,2\n\n# 200,5\n", 4),
+])
+def test_load_non_increasing_timestamps_name_the_later_line(tmp_path, text, line):
+    path = write(tmp_path, text)
+    for block in (1, traffic._BLOCK_CHARS):
+        with mock.patch.object(traffic, "_BLOCK_CHARS", block), \
+                pytest.raises(ValueError, match=f"not strictly increasing at line {line}$"):
+            load_series(path)
+    assert _same_outcome(path, 1)
 
 
 def test_load_rejects_negative_and_empty(tmp_path):
@@ -235,6 +250,17 @@ def test_qq_points_near_identity_for_gaussian_residuals():
     # count matches and theoretical quantiles are sorted
     assert n == rep.residual_count
     assert np.all(np.diff(qq[:, 0]) > 0)
+
+
+def test_qq_theoretical_quantiles_match_scipy_ndtri():
+    from scipy.special import ndtri
+
+    rep = prediction_errors(diurnal(4, noise_sd=2.0, seed=5), WEEK)
+    n = rep.residual_count
+    ref = ndtri(np.arange(1, n + 1) / (n + 1.0))
+    # AS241 and scipy's ndtri differ by a few ulps: 4 ulps of 2.8 is 1.8e-15 absolute
+    assert np.all(np.abs(rep.qq_points[:, 0] - ref) <= 1e-15 * np.abs(ref))
+    assert rep.qq_points.dtype == np.float64
 
 
 def test_report_serialization():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import norm_cdf, quad_overshoot, quad_tail, trunc_pdf
-from spottransit.uncertainty import UncertaintyModel, uncertainty_from_dict
+from spottransit.pricing import _stack
+from spottransit.uncertainty import UncertaintyModel, ndtr, uncertainty_from_dict
 
 STD = UncertaintyModel(mu=0.0, theta=1.0)  # default support [-3, 3]
 
@@ -143,3 +144,47 @@ def test_json_roundtrip():
     assert uncertainty_from_dict(u.to_dict()) == u
     v = uncertainty_from_dict({"mu": 0.0, "theta": 2.0})
     assert (v.a, v.b) == (-6.0, 6.0)
+
+
+def test_ndtr_matches_scipy_and_arrays_equal_scalar_calls():
+    from scipy.special import ndtr as scipy_ndtr
+
+    z = np.concatenate([np.linspace(-8.0, 8.0, 16001), [0.0, -0.0, np.inf, -np.inf]])
+    ours, ref = ndtr(z), scipy_ndtr(z)
+    assert ours.dtype == np.float64 and ours.shape == z.shape
+    assert ours[-4:].tolist() == [0.5, 0.5, 1.0, 0.0]
+    kept = ref >= 1e-300
+    assert np.all(np.abs(ours[kept] - ref[kept]) <= 1e-14 * ref[kept])
+    # every element goes through the scalar function: arrays and 0-d inputs give the same bits
+    scalars = [ndtr(x) for x in z.tolist()]
+    assert all(s.ndim == 0 and s.dtype == np.float64 for s in scalars[:3])
+    assert np.array(scalars).tobytes() == ours.tobytes()
+    assert ndtr(z.reshape(-1, 5)).tobytes() == ours.tobytes()
+    assert ndtr(np.asarray(1.5)).ndim == 0
+
+
+def test_noise_constants_are_computed_once_and_stay_out_of_the_fields():
+    u = UncertaintyModel(2.0, 3.0, a=-4.0, b=11.0)
+    assert u.tail_probability(2.0) == u.tail_probability(2.0)
+    cached = {k: v for k, v in vars(u).items() if k.startswith("_")}
+    assert set(cached) == {"_za", "_zb", "_cdf_zb", "_mass"}
+    assert all(isinstance(v, float) for v in cached.values())
+    assert u == UncertaintyModel(2.0, 3.0, a=-4.0, b=11.0)
+    assert hash(u) == hash(UncertaintyModel(2.0, 3.0, a=-4.0, b=11.0))
+    assert list(u.to_dict()) == ["mu", "theta", "a", "b"]
+    with pytest.raises(AttributeError):
+        u.mu = 1.0
+
+
+def test_stacked_model_gives_each_rows_tails_bit_for_bit():
+    rng = np.random.default_rng(83)
+    models = [UncertaintyModel(rng.uniform(-20, 20), rng.uniform(0.1, 50)) for _ in range(30)]
+    models += [UncertaintyModel(1.0, 2.0, a=-3.0, b=8.0), STD]
+    (stacked,) = _stack([(u,) for u in models], range(len(models)))
+    for _ in range(5):
+        t = np.array([u.mu + u.theta * rng.uniform(-4.0, 4.0) for u in models])
+        t[::7] = [u.b for u in models[::7]]
+        assert stacked.tail_probability(t).tolist() == [
+            u.tail_probability(x) for u, x in zip(models, t.tolist())]
+        assert stacked.partial_overshoot(t).tolist() == [
+            u.partial_overshoot(x) for u, x in zip(models, t.tolist())]
