@@ -391,14 +391,18 @@ def export_report(meta: dict, rows: list, columns: list, fmt: str, path):
 
     JSON keeps the meta and columns indented and puts each row on one line,
     encoded by json's C encoder (any indent forces its pure-Python one).
+    The encoder is built once per report, with the arguments
+    `JSONEncoder(default=_plain).iterencode` would rebuild it from per row.
     """
     if fmt == "json":
-        encode = json.JSONEncoder(default=_plain).encode
+        # markers, default, string encoder, indent, separators, sort_keys, skipkeys, allow_nan
+        encode = json.encoder.c_make_encoder(
+            {}, _plain, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True)
         with open(path, "w") as fh:
             fh.write('{\n  "meta": ' + _indented(meta) + ',\n  "rows": [')
             sep = "\n    "
             for row in rows:  # one write per row: the report is never held as one string
-                fh.write(sep + encode(row))
+                fh.write(sep + "".join(encode(row, 0)))
                 sep = ",\n    "
             fh.write(("\n  ]" if rows else "]") + ',\n  "columns": ' + _indented(columns) + "\n}\n")
     elif fmt == "csv":

@@ -24,13 +24,14 @@ customer to lose, so its departure term vanishes) and h_{K+1} = h_K
 normalized to h_K = 0.
 
 Two solvers are provided: policy iteration, which evaluates each policy
-by the product-form stationary law and one tridiagonal solve, and
-relative value iteration, an independent check on it that never solves
-a linear system.  Relative value iteration runs as modified policy
-iteration: an outer loop of greedy steps, each followed by a fixed
-number of cheap damped sweeps of the backup under that step's policy.
-It stops on the span of the last greedy backup, which brackets J*, and
-its `iterations` count greedy steps.
+by the product-form stationary law and two first-order recurrences in
+the differences of h, and relative value iteration, an independent
+check on it that never solves a linear system.  Relative value
+iteration runs as modified policy iteration: an outer loop of greedy
+steps, each followed by a fixed number of cheap damped sweeps of the
+backup under that step's policy.  It stops on the span of the last
+greedy backup, which brackets J*, and its `iterations` count greedy
+steps.
 
 Both improve greedily: each state takes the grid price with the largest
 right side, ties going to the lowest price, and the full state keeps
@@ -445,18 +446,35 @@ def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndar
     return idx, best
 
 
+def _affine_scan(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x with x_n = a_n x_{n-1} + c_n and x_{-1} = 0, by recursive doubling
+    (Kogge and Stone 1973): after the step of shift s, (a_n, c_n) is the
+    composition of the maps n-2s+1..n, so log2(len) vectorised steps."""
+    a, c = a.copy(), c.copy()
+    s = 1
+    while s < len(c):
+        c[s:] += a[s:] * c[:-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    return c
+
+
 def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, np.ndarray]:
     """(J, h) with h_K = 0 for a fixed policy (Puterman 1994, section 8.6).
 
     J is the product-form revenue rate.  h then solves the K+1 balance
-    equations (lam_n + dlt_n) h_n - lam_n h_{n+1} - dlt_n h_{n-1} = n p_n - J
-    (rates over U), which have rank K when the policy has one recurrent
-    class.  Pinning h_m = 0 and dropping equation m, for the most likely
-    state m, splits them into two tridiagonal blocks solved in one banded
-    call; h is then shifted to h_K = 0.
+    equations dlt_n D_{n-1} - lam_n D_n = n p_n - J =: b_n (rates over U,
+    D_n = h_{n+1} - h_n), which have rank K when the policy has one
+    recurrent class.  Dropping equation m, for the most likely state m,
+    leaves two first-order recurrences in the differences: upward from
+    state 0 below m, D_n = (dlt_n D_{n-1} - b_n) / lam_n with dlt_0 = 0,
+    and downward from K above m, D_{n-1} = (lam_n D_n + b_n) / dlt_n with
+    lam_K = 0.  Both run toward the mode, where the stationary law grows,
+    so their multipliers are typically below 1.  Below m every lam_n > 0
+    and above m every dlt_n > 0 (m lies in the recurrent class); a
+    zero coefficient restarts a recurrence (transient states under a
+    zero-departure floor).  h_n = -(D_n + ... + D_{K-1}).
     """
-    import scipy.linalg  # loaded on first use: the static path never evaluates a policy
-
     K = spec.capacity
     states, prices = np.arange(K + 1), spec.price_grid[idx]
     lam, dlt = _chain_rates(spec, idx)
@@ -468,14 +486,15 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
     lam, dlt = lam / u, dlt / u
 
     m = int(np.argmax(pi))  # equation m holds only through J, to J's rounding over pi_m
-    keep = states != m
-    up, dn = -lam * keep, -dlt * keep  # row n's couplings to h_{n+1}, h_{n-1}; none for row m
-    ab = np.array([np.append(0.0, up[:-1]), lam + dlt, np.append(dn[1:], 0.0)])
-    h = np.insert(scipy.linalg.solve_banded((1, 1), ab[:, keep], b[keep]), m, 0.0)
-    h -= h[K]
-
-    d = np.diff(h)
-    resid = dlt * np.append(0.0, d) - lam * np.append(d, 0.0) - b
+    h = np.zeros(K + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
+        # D_0..D_{m-1} upward, then D_{K-1}..D_m downward: lam_K = 0 restarts the scan
+        a = np.concatenate([dlt[:m] / lam[:m], (lam[m + 1 :] / dlt[m + 1 :])[::-1]])
+        c = np.concatenate([-b[:m] / lam[:m], (b[m + 1 :] / dlt[m + 1 :])[::-1]])
+        x = _affine_scan(a, c)
+        h[K - 1 :: -1] = -np.cumsum(np.concatenate([x[m:], x[:m][::-1]]))  # D_{K-1} first
+        d = np.diff(h)
+        resid = dlt * np.append(0.0, d) - lam * np.append(d, 0.0) - b
     if not np.all(np.isfinite(h)) or np.abs(resid).max() > 1e-6 * max(1.0, abs(j), np.abs(h).max()):
         raise RuntimeError("singular policy-evaluation system (degenerate rates)")
     return j, h
@@ -511,7 +530,7 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     idx = np.full(spec.capacity + 1, len(spec.price_grid) - 1)  # null price everywhere
     j, h = _evaluate_policy(spec, idx, u)
     for it in range(1, max_iter + 1):
-        new_idx, _ = _greedy(spec, h, u)
+        new_idx, best = _greedy(spec, h, u)
         if np.array_equal(new_idx, idx):
             break
         idx = new_idx
@@ -519,7 +538,7 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     else:
         raise RuntimeError(f"policy iteration did not stabilize within {max_iter} iterations")
 
-    residual = _bellman_residual(spec, j, h, u)
+    residual = float(np.max(np.abs(j + h - best)))  # the last greedy step backs up this h
     if residual > tol * max(1.0, abs(j)):
         raise RuntimeError(
             f"converged policy leaves Bellman residual {residual:.3e} above tolerance"
@@ -530,11 +549,6 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
         policy=Policy(spec.price_grid[idx]),
         iterations=it,
     )
-
-
-def _bellman_residual(spec: MdpSpec, j: float, h: np.ndarray, u: float) -> float:
-    _, best = _greedy(spec, h, u)
-    return float(np.max(np.abs(j + h - best)))
 
 
 def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 10_000) -> DpSolution:

@@ -550,6 +550,22 @@ def test_json_report_parses_as_the_indented_writer_with_one_row_per_line(tmp_pat
     assert (tmp_path / "new_csv.csv").read_bytes() == (tmp_path / "old_csv.csv").read_bytes()
 
 
+def test_json_row_lines_equal_json_dumps(tmp_path):
+    rows = [
+        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": None, "e": True, "f": False},
+        {"a": np.float64(0.1), "b": np.int64(-7), "c": np.bool_(True), "d": np.float32(0.1),
+         "e": np.float64(np.nan), "f": [np.int32(2), np.float64(-np.inf)]},
+        {"a": "Zürich — 東京 \u2028 \"q\"", "b": {"nested": [None, 1e300, -0.0]}, "c": 10**20},
+    ]
+    path = tmp_path / "r.json"
+    export_report({"command": "x"}, rows, list("abcdef"), "json", path)
+    lines = path.read_text().splitlines()
+    start = lines.index('  "rows": [') + 1
+    for line, row in zip(lines[start : start + len(rows)], rows, strict=True):
+        assert line.removeprefix("    ").removesuffix(",") == json.dumps(row, default=cli._plain)
+    assert lines[start + len(rows)] == "  ],"
+
+
 def test_main_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     scn = tmp_path / "scn.json"
@@ -633,14 +649,17 @@ print({SCIPY_LOADED})
     assert run.stdout.splitlines()[-1] == "[]"
 
 
-def test_mdp_command_loads_scipy_linalg_on_first_use(tmp_path):
+def test_mdp_and_simulate_commands_load_no_scipy(tmp_path):
+    config = _mdp_config(tmp_path)
     run = _run_python(["-c", f"""
 import sys
 import spottransit.cli
-assert not {SCIPY_LOADED}
-assert spottransit.cli.main(["--out", "r", "mdp", "--config", {_mdp_config(tmp_path)!r}]) == 0
-print("scipy.linalg" in sys.modules)
+for argv in (["--out", "r", "mdp"], ["--out", "s", "simulate", "--horizon", "5000", "--seed", "42"]):
+    assert spottransit.cli.main(argv + ["--config", {config!r}]) == 0
+print({SCIPY_LOADED})
 """], tmp_path)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "True"
-    assert json.loads((tmp_path / "r.json").read_text())["meta"]["structure"]["price_monotone"]
+    assert run.stdout.splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["meta"]["structure"]["price_monotone"] and len(report["rows"]) == 11
+    assert json.loads((tmp_path / "s.json").read_text())["meta"]["passed"] is True

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,8 @@ def _assert_matches_dense(spec, idx):
 def test_policy_evaluation_matches_dense_reference():
     j = _assert_matches_dense(K1_SPEC, np.array([0, 999]))
     assert j == pytest.approx(80.0 / 21.0, rel=1e-12)
+    for idx in ([500, 999], [998, 999]):  # most likely state 1, then 0
+        _assert_matches_dense(K1_SPEC, np.array(idx))
 
     spec = make_spec([0.0, 0.3], capacity=40, n_prices=200)
     null = len(spec.price_grid) - 1
@@ -432,6 +435,112 @@ def test_policy_evaluation_rejects_two_closed_classes():
     idx[10], idx[20], idx[40] = 199, 0, 199
     with pytest.raises(RuntimeError, match="closed classes"):
         _evaluate_policy(spec, idx, uniformization_rate(spec))
+
+
+def _banded_evaluation(spec, idx, u):
+    """The evaluation `_evaluate_policy` replaced, kept as a reference: the same
+    J, then h with h_m = 0 pinned at the most likely state m and equation m
+    dropped, from one `scipy.linalg.solve_banded` call, shifted to h_K = 0."""
+    from scipy.linalg import solve_banded
+
+    K = spec.capacity
+    states, prices = np.arange(K + 1), spec.price_grid[idx]
+    lam, dlt = mdp._chain_rates(spec, idx)
+    pi, _ = mdp._stationary_law(lam, dlt)
+    j = float(np.sum(pi * states * prices))
+    b = states * prices - j
+    lam, dlt = lam / u, dlt / u
+    m = int(np.argmax(pi))
+    keep = states != m
+    up, dn = -lam * keep, -dlt * keep
+    ab = np.array([np.append(0.0, up[:-1]), lam + dlt, np.append(dn[1:], 0.0)])
+    h = np.insert(solve_banded((1, 1), ab[:, keep], b[keep]), m, 0.0)
+    return j, h - h[K]
+
+
+@pytest.mark.parametrize("delta", [d for d, _ in TABLE])
+def test_policy_iteration_matches_the_banded_evaluation(monkeypatch, delta):
+    for k in (100, 1000, 3000):
+        spec = make_spec(delta, capacity=k)
+        sol = policy_iteration(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(mdp, "_evaluate_policy", _banded_evaluation)
+            ref = policy_iteration(spec)
+        np.testing.assert_array_equal(sol.policy.prices, ref.policy.prices)
+        assert (sol.iterations, sol.j_star) == (ref.iterations, ref.j_star)
+        assert np.abs(sol.h - ref.h).max() <= 1e-12 * np.abs(ref.h).max()
+
+
+def test_policy_evaluation_restarts_below_a_zero_departure_floor():
+    # price 0 (no departures) at states 1..3: states 0..2 are transient, and
+    # the upward recurrence restarts at each of states 1..3
+    spec = make_spec([0.0, 0.3], capacity=30, n_prices=200)
+    idx = np.full(31, 60)
+    idx[1:4], idx[-1] = 0, 199
+    lam, dlt = policy_rates(spec, Policy(spec.price_grid[idx]))
+    pi = mdp._stationary_law(lam, dlt)[0]
+    assert np.all(pi[:3] == 0.0) and int(np.argmax(pi)) > 3
+    _assert_matches_dense(spec, idx)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_policy_evaluation_matches_dense_reference_property(data):
+    # non-decreasing policies: a ceiling wherever a price shuts arrivals off,
+    # a floor wherever price 0 has no departures, and one recurrent class
+    spec = data.draw(_rate_specs())
+    k, g = spec.capacity, len(spec.price_grid)
+    idx = np.sort(data.draw(st.lists(st.integers(0, g - 1), min_size=k, max_size=k)))
+    _assert_matches_dense(spec, np.append(idx, g - 1))
+
+
+def _sequential_scan(a, c):
+    x, out = 0.0, []
+    for an, cn in zip(a, c):
+        x = an * x + cn
+        out.append(x)
+    return np.array(out)
+
+
+def test_affine_scan_equals_the_sequential_recurrence():
+    rng = np.random.default_rng(5)
+    assert len(mdp._affine_scan(np.zeros(0), np.zeros(0))) == 0
+    for n in (1, 2, 3, 7, 8, 9, 100, 1000, 4097):
+        a = rng.uniform(0.0, 1.0, n)
+        a[rng.random(n) < 0.1] = 0.0  # restarts
+        a[0] = rng.choice([0.0, 0.7])  # x_{-1} = 0, so a_0 never matters
+        c = rng.normal(size=n)
+        a0, c0 = a.copy(), c.copy()
+        x, ref = mdp._affine_scan(a, c), _sequential_scan(a, c)
+        assert np.array_equal(a, a0) and np.array_equal(c, c0)  # inputs kept
+        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        assert np.all(x[a == 0.0] == c[a == 0.0])  # a zero coefficient restarts exactly
+
+
+def test_policy_evaluation_refuses_a_non_finite_h():
+    # lam/U = 1e-15 below the mode with n p ~ 1e300 overflows the upward recurrence
+    p_max = 1e300
+    rates = RateModel.from_polynomials([1.0, -1.0 / p_max], [0.0, 0.5 / p_max], p_max)
+    spec = MdpSpec(3, np.array([0.0, 2e280, (1 - 1e-15) * p_max, p_max]), rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(RuntimeError, match="singular policy-evaluation system"):
+            _evaluate_policy(spec, np.array([2, 1, 2, 3]), uniformization_rate(spec))
+
+
+@pytest.mark.parametrize("delta", [d for d, _ in TABLE])
+def test_policy_iteration_takes_one_greedy_step_per_iteration(monkeypatch, delta):
+    calls = []
+
+    def counted(spec, h, u):
+        calls.append(1)
+        return _greedy(spec, h, u)
+
+    monkeypatch.setattr(mdp, "_greedy", counted)
+    for k in (1, 10, 100):
+        calls.clear()
+        sol = policy_iteration(make_spec(delta, capacity=k))
+        assert len(calls) == sol.iterations
 
 
 def test_policy_iteration_scales_to_large_capacity():
