@@ -12,7 +12,8 @@ solver needs:
 * capacity       C = (0.4 + β) d̄
 * noise          mu, theta scaled by β, support mu' +/- 3 theta'
 
-The "typical setting" uses r = 0.5 r̄ and m = p̄.  Scenarios where the
+The "typical setting" is the field defaults of ``CalibrationInput``:
+iso-elastic demand, r = 0.5 r̄ and m = p̄.  Scenarios where the
 noise support reaches the capacity are rejected outright; a penalty at
 or below the capacity price only voids the below-capacity guarantee at
 the optimum, so it is surfaced as a flag and a warning instead of a
@@ -63,8 +64,13 @@ class CalibrationInput:
     mu: float = 0.0     # aggregate prediction-error mean, Gbps
     theta: float = 1.0  # aggregate prediction-error sd, Gbps
     demand_source: str = "explicit"  # provenance label carried into reports
+    kind: str = "iso"   # demand family, a key of demand.FAMILIES
+    r_ratio: float = 0.5  # spot cost r / r̄
+    m_ratio: float = 1.0  # overflow penalty m / p̄
+    label: str = "scenario"  # scenario name carried into reports
 
     def __post_init__(self):
+        demand_family(self.kind)
         for name in ("p_bar", "d_bar", "beta", "gamma", "alpha_bar", "mu", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -80,6 +86,9 @@ class CalibrationInput:
             raise ValueError(f"aggregate elasticity must exceed 1, got {self.alpha_bar}")
         if not self.theta > 0:
             raise ValueError(f"error sd theta must be positive, got {self.theta}")
+        if not (0 < self.r_ratio < math.inf and 0 < self.m_ratio < math.inf):
+            raise ValueError("cost and penalty ratios must be positive and finite, "
+                             f"got {self.r_ratio}, {self.m_ratio}")
 
 
 def _preset(table: dict, name: str, what: str):
@@ -94,25 +103,24 @@ def region_price(region: str) -> float:
     return _preset(REGION_PRICES, region, "region")
 
 
-def ixp_input(name: str, beta: float = 0.5, gamma: float = 1.25, alpha_bar: float = 2.0,
-              d_bar: float = None) -> CalibrationInput:
-    """CalibrationInput for a bundled IXP; d̄ defaults to the 0.9*peak proxy."""
+def ixp_input(name: str, **fields) -> CalibrationInput:
+    """CalibrationInput of a bundled IXP with ``fields`` replaced.
+
+    The preset is labelled NAME and takes d̄ from the 0.9*peak proxy; a
+    given d_bar is an explicit demand source unless one is named.
+    """
     stats = _preset(IXP_STATS, name, "IXP")
-    if d_bar is None:
-        d_bar = PEAK_DEMAND_PROXY * stats["peak"]
-        source = "0.9*peak proxy"
-    else:
-        source = "explicit"
-    return CalibrationInput(
-        p_bar=region_price(stats["region"]),
-        d_bar=d_bar,
-        beta=beta,
-        gamma=gamma,
-        alpha_bar=alpha_bar,
-        mu=stats["mu"],
-        theta=stats["theta"],
-        demand_source=source,
-    )
+    if "d_bar" in fields:
+        fields.setdefault("demand_source", "explicit")
+    return CalibrationInput(**{
+        "p_bar": region_price(stats["region"]),
+        "d_bar": PEAK_DEMAND_PROXY * stats["peak"],
+        "mu": stats["mu"],
+        "theta": stats["theta"],
+        "demand_source": "0.9*peak proxy",
+        "label": name.upper(),
+        **fields,
+    })
 
 
 def derive_regular_cost(inp: CalibrationInput) -> float:
@@ -143,9 +151,9 @@ def _finite_curve(what: str, curve: DemandSpec) -> DemandSpec:
     return curve
 
 
-def derive_spot_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
+def derive_spot_demand(inp: CalibrationInput) -> DemandSpec:
     """Spot (elastic) demand curve: beta*d̄ at the regular price, elasticity gamma*ᾱ there."""
-    spot = _finite_curve("spot demand", demand_family(kind).calibrated(
+    spot = _finite_curve("spot demand", demand_family(inp.kind).calibrated(
         inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp),
         share=inp.beta, relative=inp.gamma,
     ))
@@ -156,9 +164,9 @@ def derive_spot_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
     return spot
 
 
-def derive_regular_demand(inp: CalibrationInput, kind: str) -> DemandSpec:
+def derive_regular_demand(inp: CalibrationInput) -> DemandSpec:
     """Aggregate demand curve passing through (p̄, d̄) with elasticity ᾱ there."""
-    return _finite_curve("regular demand", demand_family(kind).calibrated(
+    return _finite_curve("regular demand", demand_family(inp.kind).calibrated(
         inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp), share=1.0, relative=1.0
     ))
 
@@ -176,34 +184,23 @@ def derive_capacity_and_noise(inp: CalibrationInput) -> tuple[float, Uncertainty
     return capacity, noise
 
 
-def check_ratios(r_ratio: float, m_ratio: float):
-    """The cost ratio r/r̄ and the penalty ratio m/p̄ must be positive and finite."""
-    if not (0 < r_ratio < math.inf and 0 < m_ratio < math.inf):
-        raise ValueError(f"cost and penalty ratios must be positive and finite, got {r_ratio}, {m_ratio}")
-
-
 @dataclass(frozen=True)
 class CalibratedScenario:
+    inp: CalibrationInput  # the point it was calibrated from
     demand: DemandSpec
     uncertainty: UncertaintyModel
     market: MarketParams
     regular_demand: DemandSpec
-    penalty_assumption_ok: bool = True
+    penalty_assumption_ok: bool
 
 
-def calibrate(
-    inp: CalibrationInput,
-    kind: str = "iso",
-    r_ratio: float = 0.5,
-    m_ratio: float = 1.0,
-) -> CalibratedScenario:
-    """Full scenario derivation under the typical-setting cost conventions."""
-    check_ratios(r_ratio, m_ratio)
+def calibrate(inp: CalibrationInput) -> CalibratedScenario:
+    """Full scenario derivation under the input's demand family and cost ratios."""
     r_bar = derive_regular_cost(inp)
-    spot = derive_spot_demand(inp, kind)
-    regular = derive_regular_demand(inp, kind)
+    spot = derive_spot_demand(inp)
+    regular = derive_regular_demand(inp)
     capacity, noise = derive_capacity_and_noise(inp)
-    m = m_ratio * inp.p_bar
+    m = inp.m_ratio * inp.p_bar
 
     # the below-capacity guarantee at the optimum needs m above the price
     # at which spot demand fills the capacity
@@ -216,9 +213,10 @@ def calibrate(
         )
 
     market = MarketParams(
-        r=r_ratio * r_bar, m=m, capacity=capacity, r_bar=r_bar, p_bar=inp.p_bar
+        r=inp.r_ratio * r_bar, m=m, capacity=capacity, r_bar=r_bar, p_bar=inp.p_bar
     )
     return CalibratedScenario(
+        inp=inp,
         demand=spot,
         uncertainty=noise,
         market=market,

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import calibration, mdp, pricing, traffic, welfare
-from .demand import demand_family
 from .simulate import SimConfig, compare_to_analytic, simulate_policy
 
 DOLLAR_NOTE = "dollars = price($/Mbps) * demand(Gbps) * 1000, monthly 95th-percentile billing"
@@ -42,14 +41,10 @@ SWEEP_DEFAULTS = {
 
 @dataclass
 class Scenario:
-    """A calibration input (beta set per grid point) plus the beta grid, family and cost ratios."""
+    """A calibration input (beta set per grid point) plus the beta grid."""
 
-    label: str
     inp: calibration.CalibrationInput
     betas: list
-    kind: str
-    r_ratio: float
-    m_ratio: float
 
 
 def _number(key: str, value) -> float:
@@ -83,12 +78,8 @@ def load_scenario(source) -> Scenario:
         if not isinstance(obj, dict):
             raise ValueError(f"scenario {source} must hold a JSON object")
 
-    kind = obj.get("kind", "iso")
-    demand_family(kind)  # reject an unknown family before anything is solved
-
     ixp = obj.get("ixp")
-    fields = {key: _number(key, obj.get(key, default))
-              for key, default in (("gamma", 1.25), ("alpha_bar", 2.0))}
+    fields = {key: _number(key, obj[key]) for key in ("gamma", "alpha_bar") if key in obj}
     if obj.get("p_bar") is not None:
         fields["p_bar"] = _number("p_bar", obj["p_bar"])
     elif obj.get("region"):
@@ -110,57 +101,42 @@ def load_scenario(source) -> Scenario:
         fields.update(d_bar=traffic.percentile_95(series), mu=mu, theta=theta,
                       demand_source=f"trace p95 ({obj['trace']})")
     elif sources == ["d_bar"]:
-        fields.update(d_bar=_number("d_bar", obj["d_bar"]), demand_source="explicit")
-    # an IXP supplies its region price, noise and the 0.9*peak demand proxy
-    inp = (replace(calibration.ixp_input(ixp), **fields) if ixp
-           else calibration.CalibrationInput(**fields))
+        fields["d_bar"] = _number("d_bar", obj["d_bar"])
+    for key in ("r_ratio", "m_ratio"):
+        if key in obj:
+            fields[key] = _number(key, obj[key])
+    for key in ("kind", "label"):
+        if key in obj:
+            fields[key] = obj[key]
+    # an IXP supplies its label, region price, noise and the 0.9*peak demand proxy
+    inp = calibration.ixp_input(ixp, **fields) if ixp else calibration.CalibrationInput(**fields)
 
     betas = obj.get("beta", DEFAULT_BETAS)
     if not isinstance(betas, (list, tuple)):
         betas = [betas]
     if not betas:
         raise ValueError("scenario beta list is empty")
-    r_ratio = _number("r_ratio", obj.get("r_ratio", 0.5))
-    m_ratio = _number("m_ratio", obj.get("m_ratio", 1.0))
-    calibration.check_ratios(r_ratio, m_ratio)
-
-    return Scenario(
-        label=obj.get("label", ixp.upper() if ixp else "scenario"),
-        inp=inp,
-        betas=[_number("beta", b) for b in betas],
-        kind=kind,
-        r_ratio=r_ratio,
-        m_ratio=m_ratio,
-    )
-
-
-def _calibrate_point(scn: Scenario, beta: float, gamma: float = None, **ratios):
-    """(point, calibration) of one grid point; gamma, r_ratio, m_ratio override the scenario."""
-    inp = replace(scn.inp, beta=beta, gamma=scn.inp.gamma if gamma is None else gamma)
-    point = replace(scn, inp=inp, **ratios)
-    return point, calibration.calibrate(
-        inp, kind=point.kind, r_ratio=point.r_ratio, m_ratio=point.m_ratio
-    )
+    return Scenario(inp=inp, betas=[_number("beta", b) for b in betas])
 
 
 def _solve_points(scn: Scenario, points) -> list:
-    """Result row, or the error, of each (beta, overrides) grid point.
+    """Result row, or the error, of each grid point, given as its field overrides.
 
     The points are calibrated in order, all calibrated points are priced in
     one batch solve, and each solved point gets its own welfare report.
     """
     results = []
-    for beta, overrides in points:
+    for fields in points:
         try:
-            results.append(_calibrate_point(scn, beta, **overrides))
+            results.append(calibration.calibrate(replace(scn.inp, **fields)))
         except (ValueError, RuntimeError) as exc:
             results.append(exc)
     todo = [k for k, res in enumerate(results) if not isinstance(res, Exception)]
-    scens = [results[k][1] for k in todo]
+    scens = [results[k] for k in todo]
     sols = pricing.optimize_prices([(s.demand, s.uncertainty, s.market) for s in scens])
     for k, sol in zip(todo, sols):
         try:
-            results[k] = sol if isinstance(sol, Exception) else _result_row(*results[k], sol)
+            results[k] = sol if isinstance(sol, Exception) else _result_row(results[k], sol)
         except (ValueError, RuntimeError) as exc:
             results[k] = exc
     return results
@@ -174,38 +150,6 @@ def _all_rows(results: list) -> list:
     return results
 
 
-def _result_row(point: Scenario, scen: calibration.CalibratedScenario,
-                sol: pricing.StaticSolution) -> dict:
-    """Flat result row of one solved grid point."""
-    rep = welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
-    p_bar = point.inp.p_bar
-    row = {
-        "label": point.label,
-        "kind": point.kind,
-        "beta": point.inp.beta,
-        "gamma": point.inp.gamma,
-        "r_ratio": point.r_ratio,
-        "m_ratio": point.m_ratio,
-        "p_bar": p_bar,
-        "p_star": sol.p_star,
-        "price_ratio": sol.p_star / p_bar,
-        "discount_pct": 100.0 * (1.0 - sol.p_star / p_bar),
-        "overflow_probability": sol.overflow_probability,
-        "expected_profit": sol.expected_profit,
-        "surplus_spot": rep.surplus_spot,
-        "surplus_regular": rep.surplus_regular,
-        "profit_improvement_pct": rep.profit_improvement_pct,
-        "surplus_improvement_pct": rep.surplus_improvement_pct,
-        "profit_gain_usd": rep.profit_gain_abs * USD_PER_UNIT,
-        "surplus_gain_usd": rep.surplus_gain_abs * USD_PER_UNIT,
-        "welfare_spot": rep.welfare_spot,
-        "welfare_regular": rep.welfare_regular,
-        "penalty_assumption_ok": scen.penalty_assumption_ok,
-        "demand_source": point.inp.demand_source,
-    }
-    return row
-
-
 STATIC_COLUMNS = [
     "label", "kind", "beta", "gamma", "r_ratio", "m_ratio", "p_bar", "p_star",
     "price_ratio", "discount_pct", "overflow_probability", "expected_profit",
@@ -215,13 +159,28 @@ STATIC_COLUMNS = [
 ]
 
 
+def _result_row(scen: calibration.CalibratedScenario, sol: pricing.StaticSolution) -> dict:
+    """Flat result row of one solved grid point, keyed by STATIC_COLUMNS."""
+    rep = welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
+    inp = scen.inp
+    return dict(zip(STATIC_COLUMNS, (
+        inp.label, inp.kind, inp.beta, inp.gamma, inp.r_ratio, inp.m_ratio, inp.p_bar, sol.p_star,
+        sol.p_star / inp.p_bar, 100.0 * (1.0 - sol.p_star / inp.p_bar),
+        sol.overflow_probability, sol.expected_profit,
+        rep.surplus_spot, rep.surplus_regular, rep.profit_improvement_pct,
+        rep.surplus_improvement_pct, rep.profit_gain_abs * USD_PER_UNIT,
+        rep.surplus_gain_abs * USD_PER_UNIT,
+        rep.welfare_spot, rep.welfare_regular, scen.penalty_assumption_ok, inp.demand_source,
+    ), strict=True))
+
+
 def cmd_calibrate(scn: Scenario):
     rows = []
     for beta in scn.betas:
-        _, scen = _calibrate_point(scn, beta)
+        scen = calibration.calibrate(replace(scn.inp, beta=beta))
         rows.append({
-            "label": scn.label,
-            "kind": scn.kind,
+            "label": scn.inp.label,
+            "kind": scn.inp.kind,
             "beta": beta,
             "p_bar": scn.inp.p_bar,
             "d_bar": scn.inp.d_bar,
@@ -241,7 +200,7 @@ def cmd_calibrate(scn: Scenario):
 
 
 def cmd_static(scn: Scenario):
-    rows = _all_rows(_solve_points(scn, [(beta, {}) for beta in scn.betas]))
+    rows = _all_rows(_solve_points(scn, [{"beta": beta} for beta in scn.betas]))
     return {"command": "static", "dollar_note": DOLLAR_NOTE}, rows, STATIC_COLUMNS
 
 
@@ -252,12 +211,11 @@ def cmd_sweep(scn: Scenario, param: str, values=None):
     values = SWEEP_DEFAULTS[param] if values is None else list(values)
     grid = [(value, beta) for value in values
             for beta in ([value] if param == "beta" else scn.betas)]
-    results = _solve_points(
-        scn, [(beta, {} if param == "beta" else {param: value}) for value, beta in grid])
+    results = _solve_points(scn, [{"beta": beta, param: value} for value, beta in grid])
     rows = []
     for (value, beta), res in zip(grid, results):
         if isinstance(res, Exception):
-            rows.append({"label": scn.label, "kind": scn.kind, "beta": beta,
+            rows.append({"label": scn.inp.label, "kind": scn.inp.kind, "beta": beta,
                          "sweep_param": param, "sweep_value": value, "error": str(res)})
         else:
             rows.append(dict(res, sweep_param=param, sweep_value=value))
@@ -279,9 +237,9 @@ WORST_CASE = {"r_ratio": 0.9, "m_ratio": 1.5, "gamma": 1.1}
 
 def cmd_worst_case(scn: Scenario):
     """High cost, high penalty, low elasticity; floor violations are findings."""
-    rows = _all_rows(_solve_points(scn, [(beta, WORST_CASE) for beta in scn.betas]))
+    rows = _all_rows(_solve_points(scn, [{"beta": beta, **WORST_CASE} for beta in scn.betas]))
     findings = []
-    surplus_floor = 5.0 if scn.kind == "iso" else 60.0
+    surplus_floor = 5.0 if scn.inp.kind == "iso" else 60.0
     for row in rows:
         beta = row["beta"]
         row["sweep_param"] = "worst_case"

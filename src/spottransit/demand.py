@@ -19,6 +19,7 @@ numpy arrays; scalars in, scalars out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Protocol
 
@@ -143,7 +144,11 @@ class IsoElasticDemand:
     @classmethod
     def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative):
         alpha = relative * alpha_bar
-        return cls(v=share * d_bar * p_bar**alpha, alpha=alpha)
+        try:
+            scale = p_bar**alpha
+        except OverflowError:  # as inf, so calibration refuses the curve by name
+            scale = math.inf
+        return cls(v=share * d_bar * scale, alpha=alpha)
 
 
 @dataclass(frozen=True)

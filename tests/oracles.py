@@ -108,13 +108,11 @@ def random_instance(rng, kind=None):
         alpha_bar=2.0,
         mu=rng.uniform(-0.02, 0.02) * d_bar,
         theta=rng.uniform(0.05, 0.15) * d_bar,
+        kind=kind,
+        r_ratio=rng.uniform(0.1, 0.9),
+        m_ratio=rng.uniform(0.5, 1.5),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        scen = calibrate(
-            inp,
-            kind=kind,
-            r_ratio=rng.uniform(0.1, 0.9),
-            m_ratio=rng.uniform(0.5, 1.5),
-        )
+        scen = calibrate(inp)
     return scen, inp

@@ -70,7 +70,7 @@ def typical_rows(kind):
     rows = []
     for name in IXP_STATS:
         for beta in BETAS:
-            scen = calibrate(ixp_input(name, beta=beta), kind=kind)
+            scen = calibrate(ixp_input(name, beta=beta, kind=kind))
             sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
             rep = welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
             rows.append((name, beta, 100.0 * (1.0 - sol.p_star / scen.market.p_bar), rep))
@@ -223,7 +223,7 @@ def test_c07_worst_case_floors():
         for name in IXP_STATS:
             for beta in BETAS:
                 scen = calibrate(
-                    ixp_input(name, beta=beta, gamma=1.1), kind=kind, r_ratio=0.9, m_ratio=1.5
+                    ixp_input(name, beta=beta, gamma=1.1, kind=kind, r_ratio=0.9, m_ratio=1.5)
                 )
                 sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
                 rep = welfare_report(scen.demand, scen.uncertainty, scen.market, sol)

@@ -46,13 +46,13 @@ def test_regular_cost():
 
 def test_linear_alpha_bar():
     # aggregate linear sensitivity d̄ / (p̄ - r̄) with the iso-derived cost r̄
-    assert derive_regular_demand(LONDON, "linear").alpha == pytest.approx(800.0 / 3.75)
+    assert derive_regular_demand(replace(LONDON, kind="linear")).alpha == pytest.approx(800.0 / 3.75)
     other = CalibrationInput(p_bar=7.0, d_bar=160.0)
-    assert derive_regular_demand(other, "linear").alpha == pytest.approx(160.0 / 3.5)
+    assert derive_regular_demand(replace(other, kind="linear")).alpha == pytest.approx(160.0 / 3.5)
 
 
 def test_spot_demand_iso():
-    d = derive_spot_demand(LONDON, "iso")
+    d = derive_spot_demand(LONDON)
     assert isinstance(d, IsoElasticDemand)
     assert d.alpha == pytest.approx(2.5)
     assert d.v == pytest.approx(400.0 * 7.5**2.5, rel=1e-12)
@@ -62,11 +62,11 @@ def test_spot_demand_iso():
 def test_spot_demand_iso_low_elasticity_warns():
     inp = CalibrationInput(p_bar=7.5, d_bar=800.0, gamma=1.2, alpha_bar=1.5)  # alpha = 1.8
     with pytest.warns(UserWarning, match="surplus"):
-        derive_spot_demand(inp, "iso")
+        derive_spot_demand(inp)
 
 
 def test_spot_demand_linear():
-    d = derive_spot_demand(LONDON, "linear")
+    d = derive_spot_demand(replace(LONDON, kind="linear"))
     assert isinstance(d, LinearDemand)
     alpha_lin = 800.0 / 3.75
     assert d.alpha == pytest.approx(0.5 * 1.25 * alpha_lin)
@@ -77,8 +77,8 @@ def test_spot_demand_linear():
 def test_spot_demand_degenerate_share():
     # gamma -> 1, beta -> 1: spot curve coincides with the aggregate at p_bar
     inp = CalibrationInput(p_bar=7.5, d_bar=800.0, beta=1.0 - 1e-12, gamma=1.0 + 1e-12)
-    d = derive_spot_demand(inp, "iso")
-    agg = derive_regular_demand(inp, "iso")
+    d = derive_spot_demand(inp)
+    agg = derive_regular_demand(inp)
     assert d.demand(7.5) == pytest.approx(agg.demand(7.5), rel=1e-9)
 
 
@@ -101,7 +101,7 @@ def test_capacity_rejects_wide_noise():
 
 def test_roundtrip_invariants():
     for kind in ("iso", "linear"):
-        scen = calibrate(LONDON, kind=kind)
+        scen = calibrate(replace(LONDON, kind=kind))
         beta_d = LONDON.beta * LONDON.d_bar
         assert scen.demand.demand(LONDON.p_bar) == pytest.approx(beta_d, rel=1e-9)
         r_bar = scen.market.r_bar
@@ -118,11 +118,11 @@ def test_roundtrip_invariants():
 def test_penalty_assumption_flag():
     # a low penalty ratio voids the below-capacity guarantee and is flagged
     with pytest.warns(UserWarning, match="penalty"):
-        scen = calibrate(replace(LONDON, beta=0.2), kind="iso", m_ratio=0.5)
+        scen = calibrate(replace(LONDON, beta=0.2, kind="iso", m_ratio=0.5))
     assert not scen.penalty_assumption_ok
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok = calibrate(replace(LONDON, beta=0.2), kind="iso", m_ratio=1.0)
+        ok = calibrate(replace(LONDON, beta=0.2, kind="iso", m_ratio=1.0))
     assert ok.penalty_assumption_ok
 
 
@@ -141,11 +141,18 @@ def test_region_presets():
 
 def test_calibrate_rejects_bad_ratios():
     with pytest.raises(ValueError):
-        calibrate(LONDON, r_ratio=0.0)
+        calibrate(replace(LONDON, r_ratio=0.0))
     with pytest.raises(ValueError):
-        calibrate(LONDON, m_ratio=-1.0)
+        calibrate(replace(LONDON, m_ratio=-1.0))
     with pytest.raises(ValueError):
-        derive_spot_demand(LONDON, "loglog")
+        derive_spot_demand(replace(LONDON, kind="loglog"))
+    # the input itself refuses an unknown family and bad ratios
+    with pytest.raises(ValueError, match=r"^unknown demand kind 'loglog' \(expected one of 'iso', 'linear'\)$"):
+        CalibrationInput(p_bar=7.5, d_bar=800.0, kind="loglog")
+    with pytest.raises(ValueError, match=r"^cost and penalty ratios must be positive and finite, got 0, 1.0$"):
+        CalibrationInput(p_bar=7.5, d_bar=800.0, r_ratio=0)
+    with pytest.raises(ValueError, match=r"^cost and penalty ratios must be positive and finite, got 0.5, inf$"):
+        CalibrationInput(p_bar=7.5, d_bar=800.0, m_ratio=float("inf"))
 
 
 @pytest.mark.parametrize("inp,kind,field", [
@@ -158,4 +165,4 @@ def test_calibrate_refuses_parameters_that_overflow(inp, kind, field):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CalibrationError, match=f"calibrated {field} overflows to inf"):
-            calibrate(inp, kind=kind)
+            calibrate(replace(inp, kind=kind))

@@ -32,7 +32,7 @@ def test_load_scenario_variants(tmp_path):
     scn = load_scenario(LINX_SCENARIO)
     assert scn.inp.p_bar == 7.5
     assert scn.inp.d_bar == pytest.approx(1080.0)
-    assert scn.label == "LINX"
+    assert scn.inp.label == "LINX"
     assert scn.inp.demand_source == "0.9*peak proxy"
 
     explicit = load_scenario({"p_bar": 10.0, "d_bar": 500.0, "mu": 1.0, "theta": 20.0})
@@ -96,7 +96,7 @@ def test_cmd_static_rows():
     assert "dollar" in meta["dollar_note"]
     assert [r["beta"] for r in rows] == [0.2, 0.5, 0.7]
     for row in rows:
-        assert set(columns) <= set(row)
+        assert list(row) == columns
         # welfare accounting and the improvement flags
         assert row["p_star"] < row["p_bar"]
         assert row["profit_improvement_pct"] > 0
@@ -141,7 +141,7 @@ def test_sweep_gamma_improvements_nondecreasing():
 
 def test_sweep_singleton_matches_static():
     scn = load_scenario(LINX_SCENARIO)
-    _, sweep_rows, _ = cmd_sweep(scn, "r_ratio", values=[scn.r_ratio])
+    _, sweep_rows, _ = cmd_sweep(scn, "r_ratio", values=[scn.inp.r_ratio])
     _, static_rows, _ = cmd_static(scn)
     for srow, trow in zip(sweep_rows, static_rows):
         assert srow["p_star"] == pytest.approx(trow["p_star"], rel=1e-12)
@@ -602,11 +602,17 @@ def _run_python(args: list, cwd) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("kind,command", [("linear", "static"), ("iso", "calibrate")])
-def test_cli_calibration_overflow_is_one_error_line(tmp_path, kind, command):
+@pytest.mark.parametrize("scenario,command", [
+    pytest.param({"ixp": "linx", "kind": "linear", "d_bar": 1e308}, "static", id="linear-static"),
+    pytest.param({"ixp": "linx", "kind": "iso", "d_bar": 1e308}, "calibrate", id="iso-calibrate"),
+    # p̄**alpha overflows the float range in the iso calibration
+    *[pytest.param({"ixp": "nix", key: 1e20}, command, id=f"{key}-{command}")
+      for key in ("alpha_bar", "gamma") for command in ("static", "calibrate")],
+])
+def test_cli_calibration_overflow_is_one_error_line(tmp_path, scenario, command):
     # run as a program: outside pytest, any warning would reach stderr
     scn = tmp_path / "scn.json"
-    scn.write_text(json.dumps({"ixp": "linx", "kind": kind, "d_bar": 1e308}))
+    scn.write_text(json.dumps(scenario))
     run = _run_python(["-m", "spottransit.cli", "--scenario", str(scn),
                        "--out", str(tmp_path / "r"), command], tmp_path)
     assert run.returncode == 2

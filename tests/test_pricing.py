@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -553,7 +553,7 @@ def _calibrated(inp, kind, r_ratio, m_ratio):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scen = calibrate(inp, kind, r_ratio, m_ratio)
+            scen = calibrate(replace(inp, kind=kind, r_ratio=r_ratio, m_ratio=m_ratio))
     except ValueError:
         assume(False)
     return scen.demand, scen.uncertainty, scen.market

@@ -87,7 +87,7 @@ def test_social_welfare_additivity():
 
 
 def typical_scenario(kind, beta=0.2):
-    return calibrate(ixp_input("linx", beta=beta), kind=kind)
+    return calibrate(ixp_input("linx", beta=beta, kind=kind))
 
 
 def test_welfare_report_typical_bands():
@@ -172,7 +172,7 @@ def _discounted_report(inp, kind, r_ratio, m_ratio):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            scen = calibrate(inp, kind, r_ratio, m_ratio)
+            scen = calibrate(dataclasses.replace(inp, kind=kind, r_ratio=r_ratio, m_ratio=m_ratio))
             sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
         except ValueError:
             assume(False)
@@ -207,7 +207,7 @@ def test_gains_positive_whenever_discounted_property(inp, kind, r_ratio, m_ratio
 def test_unassured_profit_loss_is_reported_not_raised(kind, inp, r_ratio, gain_pct):
     # before, welfare_report raised "market assumptions ... are likely violated" here
     # although the noise support sits below capacity and the penalty is above the capacity price
-    scen = calibrate(inp, kind, r_ratio, 1.0)
+    scen = calibrate(dataclasses.replace(inp, kind=kind, r_ratio=r_ratio, m_ratio=1.0))
     sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
     rep = welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
     assert scen.penalty_assumption_ok and sol.p_star < inp.p_bar
