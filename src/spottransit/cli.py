@@ -1,11 +1,13 @@
 """Command-line front end: scenario runs, sweeps, worst case, prediction,
 MDP solving, simulation, and report export.
 
-Scenario files are JSON.  Either name a bundled IXP ("ixp": "linx"),
-or give a region preset / explicit regular price plus exactly one
-demand-scale source: a traffic CSV ("trace") or an explicit billable
-demand ("d_bar" with "mu"/"theta").  Remaining keys: beta (scalar or
-list), gamma, r_ratio, m_ratio, kind, alpha_bar, label.
+Scenario files are JSON.  Either name a bundled IXP ("ixp"), or give a
+region preset ("region") or regular price ("p_bar") plus exactly one
+demand-scale source: a traffic CSV ("trace") or a billable demand
+("d_bar", with "mu" and "theta").  The other numbers are gamma,
+alpha_bar, r_ratio and m_ratio; beta is a number or a list of numbers;
+kind and label are strings.  A key that is present must hold a valid
+value (never null), and a key not in SCENARIO_KEYS is refused by name.
 
 Profit and surplus figures are in price*demand units ($/Mbps * Gbps);
 multiplying by 1000 gives $ per month under 95th-percentile billing,
@@ -54,6 +56,28 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+def _text(key: str, value) -> str:
+    """A scenario string; anything else is refused, naming its key."""
+    if not isinstance(value, str):
+        raise ValueError(f"scenario {key} must be a string, got {value!r}")
+    return value
+
+
+def _number_list(key: str, value) -> list:
+    """A scenario number or non-empty list of numbers, as a list of floats."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if not values:
+        raise ValueError(f"scenario {key} list is empty")
+    return [_number(key, v) for v in values]
+
+
+#: Every scenario key and the reader that checks its value; no other key is read.
+SCENARIO_KEYS = {**dict.fromkeys(("ixp", "region", "trace", "kind", "label"), _text),
+                 **dict.fromkeys(("p_bar", "d_bar", "mu", "theta", "gamma", "alpha_bar",
+                                  "r_ratio", "m_ratio"), _number),
+                 "beta": _number_list}
+
+
 def _sweep_values(text: str) -> list:
     """The ``--values`` grid: comma-separated finite numbers; a bad entry is refused by name."""
     values = []
@@ -70,53 +94,34 @@ def _sweep_values(text: str) -> list:
 
 def load_scenario(source) -> Scenario:
     """Accept a path to a scenario JSON file or an already-parsed dict."""
-    if isinstance(source, dict):
-        obj = dict(source)
-    else:
+    obj = source
+    if not isinstance(obj, dict):
         with open(source) as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"scenario {source} must hold a JSON object")
 
-    ixp = obj.get("ixp")
-    fields = {key: _number(key, obj[key]) for key in ("gamma", "alpha_bar") if key in obj}
-    if obj.get("p_bar") is not None:
-        fields["p_bar"] = _number("p_bar", obj["p_bar"])
-    elif obj.get("region"):
-        fields["p_bar"] = calibration.region_price(obj["region"])
-    elif not ixp:
+    unknown = [key for key in obj if key not in SCENARIO_KEYS]
+    if unknown:
+        raise ValueError(f"unknown scenario key {unknown[0]!r}; keys are {', '.join(SCENARIO_KEYS)}")
+    fields = {key: SCENARIO_KEYS[key](key, value) for key, value in obj.items()}
+    ixp = fields.pop("ixp", None)
+    betas = fields.pop("beta", DEFAULT_BETAS[:])
+    if "region" in fields:  # an explicit p_bar wins over the region's price
+        fields.setdefault("p_bar", calibration.region_price(fields.pop("region")))
+    if ixp is None and "p_bar" not in fields:
         raise ValueError("scenario needs a region preset or an explicit p_bar")
-
-    sources = [k for k in ("trace", "d_bar") if obj.get(k) is not None]
-    if len(sources) > 1 or not (sources or ixp):
+    demand_keys = fields.keys() & {"trace", "d_bar"}
+    if len(demand_keys) > 1 or ixp is None and not demand_keys:
         raise ValueError("scenario needs exactly one demand-scale source (trace or d_bar)")
-    for key in ("mu", "theta"):
-        if obj.get(key) is not None:
-            fields[key] = _number(key, obj[key])
-    if sources == ["trace"]:
-        if not isinstance(obj["trace"], str):
-            raise ValueError(f"scenario trace must be a path string, got {obj['trace']!r}")
-        series = traffic.load_series(obj["trace"])
+    if "trace" in fields:
+        trace = fields.pop("trace")
+        series = traffic.load_series(trace)
         _, mu, theta = traffic.persistence_residuals(series)  # no Q-Q data: only the moments
         fields.update(d_bar=traffic.percentile_95(series), mu=mu, theta=theta,
-                      demand_source=f"trace p95 ({obj['trace']})")
-    elif sources == ["d_bar"]:
-        fields["d_bar"] = _number("d_bar", obj["d_bar"])
-    for key in ("r_ratio", "m_ratio"):
-        if key in obj:
-            fields[key] = _number(key, obj[key])
-    for key in ("kind", "label"):
-        if key in obj:
-            fields[key] = obj[key]
-    # an IXP supplies its label, region price, noise and the 0.9*peak demand proxy
-    inp = calibration.ixp_input(ixp, **fields) if ixp else calibration.CalibrationInput(**fields)
-
-    betas = obj.get("beta", DEFAULT_BETAS)
-    if not isinstance(betas, (list, tuple)):
-        betas = [betas]
-    if not betas:
-        raise ValueError("scenario beta list is empty")
-    return Scenario(inp=inp, betas=[_number("beta", b) for b in betas])
+                      demand_source=f"trace p95 ({trace})")
+    inp = calibration.CalibrationInput(**fields) if ixp is None else calibration.ixp_input(ixp, **fields)
+    return Scenario(inp=inp, betas=betas)
 
 
 def _solve_points(scn: Scenario, points) -> list:
@@ -174,29 +179,23 @@ def _result_row(scen: calibration.CalibratedScenario, sol: pricing.StaticSolutio
     ), strict=True))
 
 
+CALIBRATE_COLUMNS = [
+    "label", "kind", "beta", "p_bar", "d_bar", "r_bar", "r", "m", "capacity", "demand_v",
+    "demand_alpha", "mu_scaled", "theta_scaled", "penalty_assumption_ok", "demand_source",
+]
+
+
 def cmd_calibrate(scn: Scenario):
     rows = []
     for beta in scn.betas:
         scen = calibration.calibrate(replace(scn.inp, beta=beta))
-        rows.append({
-            "label": scn.inp.label,
-            "kind": scn.inp.kind,
-            "beta": beta,
-            "p_bar": scn.inp.p_bar,
-            "d_bar": scn.inp.d_bar,
-            "r_bar": scen.market.r_bar,
-            "r": scen.market.r,
-            "m": scen.market.m,
-            "capacity": scen.market.capacity,
-            "demand_v": scen.demand.v,
-            "demand_alpha": scen.demand.alpha,
-            "mu_scaled": scen.uncertainty.mu,
-            "theta_scaled": scen.uncertainty.theta,
-            "penalty_assumption_ok": scen.penalty_assumption_ok,
-            "demand_source": scn.inp.demand_source,
-        })
-    columns = list(rows[0].keys())
-    return {"command": "calibrate", "dollar_note": DOLLAR_NOTE}, rows, columns
+        inp, market = scen.inp, scen.market
+        rows.append(dict(zip(CALIBRATE_COLUMNS, (
+            inp.label, inp.kind, inp.beta, inp.p_bar, inp.d_bar, market.r_bar, market.r,
+            market.m, market.capacity, scen.demand.v, scen.demand.alpha, scen.uncertainty.mu,
+            scen.uncertainty.theta, scen.penalty_assumption_ok, inp.demand_source,
+        ), strict=True)))
+    return {"command": "calibrate", "dollar_note": DOLLAR_NOTE}, rows, CALIBRATE_COLUMNS
 
 
 def cmd_static(scn: Scenario):

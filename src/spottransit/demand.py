@@ -148,7 +148,13 @@ class IsoElasticDemand:
             scale = p_bar**alpha
         except OverflowError:  # as inf, so calibration refuses the curve by name
             scale = math.inf
-        return cls(v=share * d_bar * scale, alpha=alpha)
+        v = share * d_bar * scale
+        if v == 0.0:  # refused by name here: the constructor would blame v itself
+            raise ValueError(
+                f"calibrated demand v = share * d_bar * p_bar**alpha underflows to 0.0 "
+                f"(p_bar={p_bar!r}, alpha={alpha!r}); the scenario's demand scale is too small "
+                "to price")
+        return cls(v=v, alpha=alpha)
 
 
 @dataclass(frozen=True)

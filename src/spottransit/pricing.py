@@ -180,6 +180,7 @@ def _bracket(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> tuple[floa
     return lo, hi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that goes non-finite is refused by name
 def _solve_stacked(problems, rows, out):
     """Fill out[i] for the rows i, which share a demand family."""
     brackets = {}

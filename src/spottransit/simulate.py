@@ -36,6 +36,9 @@ from .record import Record
 _BLOCK = 1 << 16
 # Draws stepped per numpy pass.  It bounds the scratch arrays; results do not depend on it.
 _CHUNK = 1 << 12
+# Most transitions a run may expect.  The horizon times the largest total rate
+# bounds the expected count, and a run past this would not end in useful time.
+MAX_EXPECTED_TRANSITIONS = 1e9
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,11 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
     spec, policy = cfg.spec, cfg.policy
     lam, dlt = policy_rates(spec, policy)
     total = lam + dlt
+    rate = float(total.max())
+    if cfg.horizon * rate > MAX_EXPECTED_TRANSITIONS:
+        raise ValueError(f"horizon {cfg.horizon:g} times the largest total rate {rate:.3g} "
+                         f"allows {cfg.horizon * rate:.3g} expected transitions, over the limit "
+                         f"{MAX_EXPECTED_TRANSITIONS:.0e}")
     p_up = np.divide(lam, total, out=np.zeros_like(total), where=total > 0)
 
     n_states = spec.capacity + 1

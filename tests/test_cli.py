@@ -115,6 +115,7 @@ def test_cmd_calibrate_rows():
     meta, rows, columns = cmd_calibrate(load_scenario(LINX_SCENARIO))
     assert [r["beta"] for r in rows] == [0.2, 0.5, 0.7]
     for row in rows:
+        assert list(row) == columns
         assert row["r_bar"] == pytest.approx(3.75)
         assert row["capacity"] == pytest.approx((0.4 + row["beta"]) * 1080.0)
         assert row["theta_scaled"] == pytest.approx(row["beta"] * 174.8157)
@@ -336,6 +337,7 @@ def test_main_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, saved
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the row's own check refuses it, silently
 def test_main_static_rejects_demand_that_overflows_at_the_optimum(tmp_path, capsys):
     # calibrates to finite parameters; the cheap penalty puts p* where demand overflows
     path = tmp_path / "scn.json"
@@ -371,6 +373,9 @@ def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     ({"theta": [1.0]}, "theta"),
     ({"alpha_bar": None}, "alpha_bar"),
     ({"trace": 0}, "trace"),
+    # null is never a valid value, and a key outside the table is refused by name
+    *[({key: None}, key) for key in ("p_bar", "d_bar", "mu", "theta", "trace", "region", "ixp")],
+    ({"gama": 2.0}, "gama"),
 ])
 def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, change, needle):
     path = tmp_path / "scn.json"
@@ -602,14 +607,22 @@ def _run_python(args: list, cwd) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("scenario,command", [
-    pytest.param({"ixp": "linx", "kind": "linear", "d_bar": 1e308}, "static", id="linear-static"),
-    pytest.param({"ixp": "linx", "kind": "iso", "d_bar": 1e308}, "calibrate", id="iso-calibrate"),
+OVERFLOW = "demand v overflows to inf"
+
+
+@pytest.mark.parametrize("scenario,command,expected", [
+    pytest.param({"ixp": "linx", "kind": "linear", "d_bar": 1e308}, "static", OVERFLOW,
+                 id="linear-static"),
+    pytest.param({"ixp": "linx", "kind": "iso", "d_bar": 1e308}, "calibrate", OVERFLOW,
+                 id="iso-calibrate"),
     # p̄**alpha overflows the float range in the iso calibration
-    *[pytest.param({"ixp": "nix", key: 1e20}, command, id=f"{key}-{command}")
+    *[pytest.param({"ixp": "nix", key: 1e20}, command, OVERFLOW, id=f"{key}-{command}")
       for key in ("alpha_bar", "gamma") for command in ("static", "calibrate")],
+    # ... and underflows it when p̄ < 1
+    pytest.param({"p_bar": 0.5, "d_bar": 100.0, "alpha_bar": 1e20}, "static",
+                 "demand v = share * d_bar * p_bar**alpha underflows to 0.0", id="underflow-static"),
 ])
-def test_cli_calibration_overflow_is_one_error_line(tmp_path, scenario, command):
+def test_cli_calibration_overflow_is_one_error_line(tmp_path, scenario, command, expected):
     # run as a program: outside pytest, any warning would reach stderr
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps(scenario))
@@ -618,8 +631,22 @@ def test_cli_calibration_overflow_is_one_error_line(tmp_path, scenario, command)
     assert run.returncode == 2
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
-    assert "demand v overflows to inf" in lines[0]
+    assert expected in lines[0]
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_simulate_refuses_a_walk_too_long_to_run(tmp_path):
+    # a departure term of 1e200 hides the arrivals; horizon x largest rate is 2e202 transitions
+    config = tmp_path / "mdp.json"
+    config.write_text(json.dumps({"capacity": 300, "arrival": [1e6, 0.3, 24, 24],
+                                  "departure": [1e200, -1e6, 3], "p_max": 4, "price_points": 10}))
+    run = _run_python(["-m", "spottransit.cli", "--out", str(tmp_path / "s"), "simulate",
+                       "--config", str(config), "--horizon", "200", "--seed", "1"], tmp_path)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+    assert "2e+202 expected transitions" in lines[0] and "1e+09" in lines[0]
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("values,entry", [
