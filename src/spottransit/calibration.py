@@ -160,7 +160,8 @@ def derive_spot_demand(inp: CalibrationInput) -> DemandSpec:
     try:
         spot.consumer_surplus(inp.p_bar)
     except DivergentSurplusError as exc:
-        warnings.warn(f"{exc}; profit metrics remain valid")
+        warnings.warn(f"{exc}; the curve calibrates, but every priced row reports its surplus "
+                      "and is refused")
     return spot
 
 

@@ -88,7 +88,7 @@ class IsoElasticDemand:
             raise ValueError(f"elasticity alpha must exceed 1, got {self.alpha}")
 
     def _check_price(self, p):
-        if np.any(np.asarray(p) <= 0):
+        if (np.asarray(p) <= 0).any():
             raise DomainError(f"iso-elastic demand needs p > 0, got {p}")
 
     def demand(self, p):
@@ -178,7 +178,7 @@ class LinearDemand:
 
     def _check_price(self, p):
         p = np.asarray(p)
-        if np.any(p < 0) or np.any(p > self.choke_price):
+        if (p < 0).any() or (p > self.choke_price).any():
             raise DomainError(
                 f"linear demand defined on [0, {self.choke_price!r}], got p={p}"
             )

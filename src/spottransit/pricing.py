@@ -14,26 +14,39 @@ T(p) = Pr(eps > C - d(p)), its derivative is
 
 and -d' > 0, so g has the sign of E'.  g = 0 is Lerner's inverse-elasticity
 rule with the expected overflow charge m T(p) added to the unit cost.  The
-optimizer brackets the unique root of g above the cost floor and bisects it.
+optimizer brackets the unique root of g above the cost floor and closes in on
+it by an ITP search (interpolate, truncate, project; Oliveira and Takahashi,
+ACM TOMS 47(1), 2020): each step takes the regula falsi point, pulled towards
+the midpoint, within a radius of the midpoint that keeps the search within
+_ITP_N0 = 10 steps of bisection's count ceil(log2(width/1e-10)), 11 where
+rounding leaves the bracket a hair wider than that radius aims at.  g falls
+strictly but has kinks where C - d(p) crosses the noise support's edges; the
+search is as fast as the secant method on the smooth stretches, and the
+projection bounds it where interpolation stalls.  On the CLI's IXP tables it
+evaluates g about 16 times per table, where bisection took about 40.
 The markup d/(-d') is a closed form of each demand family, so g keeps its
 sign at the bracket's upper end even where d and d' underflow there: g is at
 most -(r + m) 1e-6 at the iso-elastic bracket and r - v/alpha < 0 at the
-linear choke price.  The search stops at an absolute bracket width of 1e-10,
-or earlier when the bracket spans adjacent doubles and can no longer shrink.
+linear choke price.  Rounding in g swamps the iso-elastic margin only when
+alpha - 1 is below about 1e-15; such a row is refused.  The search stops at
+an absolute bracket width of 1e-10, or earlier when the bracket spans
+adjacent doubles and can no longer shrink, and the price is the final
+bracket's midpoint.
 
 ``optimize_prices`` solves a whole table at once, and ``optimize_price``
 is a table of one row.  Each row's bracket is checked on its own; the
 rows of one demand family are then stacked into a curve, noise model and
-market whose fields are arrays, and one bisection loop halves every
-bracket together.  A row stops by the rule above, by itself, while the
-others go on, so each row sees the midpoints a lone solve would see.
-The stacked g and solution fields do per element what the scalar code
-does with the same IEEE operations (numpy ``power`` works per element, and
-the noise model's normal CDF applies the stdlib ``math.erfc`` to each
-element), so the prices come out bit for bit as one row at a time.  A row
-keeps its own error when its bracket is empty, its g is not positive at
-the cost floor, or its solution has a non-finite field (demand that
-overflows at the optimum).
+market whose fields are arrays, and one ITP loop steps every bracket
+together.  Every quantity of a row's step, its step count included, is
+its own, and a row stops by the rule above, by itself, while the others go
+on, so each row sees the points a lone solve would see.  The stacked g and
+solution fields do per element what the scalar code does with the same
+IEEE operations (numpy ``power`` works per element, and the noise model's
+normal CDF applies the stdlib ``math.erfc`` to each element), so the
+prices come out bit for bit as one row at a time.  A row keeps its own
+error when its bracket is empty, its g is not positive at the cost floor
+or not negative at the upper bracket, or its solution has a non-finite
+field (demand that overflows at the optimum).
 """
 
 from __future__ import annotations
@@ -50,6 +63,11 @@ from .uncertainty import UncertaintyModel
 # absolute bracket width at which the price search stops; from about 5e5 $/Mbps up
 # adjacent doubles lie farther apart, so the search also stops when it cannot shrink
 _PRICE_TOL = 1e-10
+# ITP constants (see _itp): the truncation scale, over the initial bracket width, the
+# truncation power, and the steps allowed beyond bisection's count
+_ITP_K1 = 0.8
+_ITP_K2 = 2.0
+_ITP_N0 = 10
 
 
 @dataclass(frozen=True)
@@ -180,7 +198,8 @@ def _bracket(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> tuple[floa
     return lo, hi
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a row that goes non-finite is refused by name
+# a row that goes non-finite is refused by name
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_stacked(problems, rows, out):
     """Fill out[i] for the rows i, which share a demand family."""
     brackets = {}
@@ -192,32 +211,64 @@ def _solve_stacked(problems, rows, out):
     if not brackets:
         return
     d, u, mp = _stack(problems, brackets)
-    g = lambda p: _markup_gap(d, u, mp, p)
     lo, hi = np.array(list(brackets.values())).T
-    if np.any(g(hi) >= 0):
-        raise RuntimeError("the markup gap g is not negative at the upper bracket")
-    rises = g(lo) > 0
-    p_star = _bisect(g, lo, hi)
-    solved = [i for i, ok in zip(brackets, rises) if ok]
-    if solved:
-        for i, sol in zip(solved, _solutions(*_stack(problems, solved), p_star[rises])):
+    g_lo, g_hi = _markup_gap(d, u, mp, np.array([lo, hi]))  # (2, R) against (R,) fields
+    # g > 0 at the cost floor and not g >= 0 at the upper bracket: the rows the search
+    # solves; the others get an empty bracket, so they take no steps
+    solved = (g_lo > 0) & ~(g_hi >= 0)
+    a, b = _itp(lambda p: _markup_gap(d, u, mp, p), lo, np.where(solved, hi, lo), g_lo, g_hi)
+    p_star = 0.5 * (a + b)
+    for i, ok, g_top, top in zip(brackets, solved, g_hi, hi.tolist()):
+        if g_top >= 0:
+            out[i] = ValueError(f"the markup gap g is not negative at the upper bracket {top!r} "
+                                "(rounding swamps it there); degenerate parameters")
+        elif not ok:
+            out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
+    solved_rows = [i for i, ok in zip(brackets, solved) if ok]
+    if solved_rows:
+        stacked = _stack(problems, solved_rows)
+        for i, sol in zip(solved_rows, _solutions(*stacked, p_star[solved])):
             out[i] = sol
-    for i in brackets.keys() - solved:
-        out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
 
 
-def _bisect(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Midpoints of the final brackets of bisecting, per row, a sign change of f
-    from positive at a to non-positive at b.  Each row stops by itself once its
-    bracket is at most _PRICE_TOL wide or spans adjacent doubles."""
+def _itp(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray):
+    """Final brackets (a, b) of an ITP search, per row, for a sign change of f from
+    positive at a (fa = f(a)) to non-positive at b (fb = f(b)).  Each row stops by
+    itself once its bracket is at most _PRICE_TOL wide or spans adjacent doubles.
+
+    A step takes the regula falsi point, moves it towards the midpoint by
+    k1 w**_ITP_K2 (k1 = _ITP_K1 over the initial width w0, w the current width) but
+    at least _PRICE_TOL/4, so that a point interpolation puts next to the root
+    still moves the bracket's far end, and projects it into the radius around the
+    midpoint within which the bracket still reaches _PRICE_TOL by step
+    ceil(log2(w0/_PRICE_TOL)) + _ITP_N0.  So no row takes more than _ITP_N0 steps
+    beyond bisection's count, and one more where rounding leaves its bracket a hair
+    wider than the projection aims at.  A point not strictly inside its bracket
+    falls back to the midpoint.
+    """
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    w = b - a
+    k1 = _ITP_K1 / w
+    # the radius bound (_PRICE_TOL/2) 2**(n_max - j) at step j; frexp and ldexp are exact
+    mant, n_half = np.frexp(w / _PRICE_TOL)
+    budget = np.ldexp(0.5 * _PRICE_TOL, n_half - (mant == 0.5) + _ITP_N0)
     while True:
+        w = b - a
         mid = 0.5 * (a + b)
-        go = (b - a > _PRICE_TOL) & (a < mid) & (mid < b)
+        go = (w > _PRICE_TOL) & (a < mid) & (mid < b)
         if not go.any():
-            return mid
-        up = f(mid) > 0
-        a = np.where(go & up, mid, a)
-        b = np.where(go & ~up, mid, b)
+            return a, b
+        step = a + fa * w / (fa - fb) - mid  # regula falsi, from the midpoint
+        truncate = np.maximum(k1 * w ** _ITP_K2, 0.25 * _PRICE_TOL)
+        reach = np.maximum(np.minimum(np.abs(step) - truncate, budget - 0.5 * w), 0.0)
+        x = mid + np.sign(step) * reach
+        x = np.where((a < x) & (x < b), x, mid)
+        fx = f(x)
+        up = fx > 0
+        for end, f_end, moves in ((a, fa, go & up), (b, fb, go & ~up)):
+            np.copyto(end, x, where=moves)
+            np.copyto(f_end, fx, where=moves)
+        budget *= 0.5
 
 
 def _solutions(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: np.ndarray) -> list:

@@ -102,7 +102,8 @@ class UncertaintyModel(Record):
         t = np.asarray(t, dtype=float)
         z = (t - self.mu) / self.theta
         raw = (self._cdf_zb - ndtr(z)) / self._mass
-        out = np.clip(np.where(t <= self.a, 1.0, np.where(t >= self.b, 0.0, raw)), 0.0, 1.0)
+        out = np.where(t <= self.a, 1.0, np.where(t >= self.b, 0.0, raw))
+        out = np.minimum(np.maximum(out, 0.0), 1.0)
         return _ret(out)
 
     def partial_overshoot(self, t):

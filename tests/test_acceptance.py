@@ -112,6 +112,7 @@ def test_c03_demand_fixture():
     )
 
 
+@pytest.mark.slow  # the brute-force oracle is most of the suite's time
 def test_c04_solver_vs_brute_force():
     rng = np.random.default_rng(20120213)
     t0 = time.time()

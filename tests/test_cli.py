@@ -347,6 +347,21 @@ def test_main_static_rejects_demand_that_overflows_at_the_optimum(tmp_path, caps
     assert not (tmp_path / "r.json").exists()
 
 
+def test_an_iso_curve_without_surplus_is_refused_where_its_warning_says(tmp_path, capsys):
+    # spot elasticity gamma * alpha_bar = 1.875 <= 2: the surplus integral diverges
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"ixp": "linx", "alpha_bar": 1.5}))
+    warning = "every priced row reports its surplus and is refused"
+    with pytest.warns(UserWarning, match=warning):
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "c"), "calibrate"]) == 0
+    for command in ("static", "worst-case"):
+        with pytest.warns(UserWarning, match=warning):
+            line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), command],
+                              capsys)
+        assert line.startswith("error: surplus undefined for iso-elastic alpha=")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_main_unknown_kind_fails_before_solving(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"ixp": "linx", "kind": "loglog"}))
