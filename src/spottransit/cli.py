@@ -283,12 +283,16 @@ def cmd_predict(trace_path: str, window: float):
     return meta, rows, ["theoretical_quantile", "sample_quantile"]
 
 
-def cmd_mdp(config_path: str, algorithm: str, tol: float):
+def _solve_config(config_path: str, algorithm: str, tol: float):
+    """Load an MDP config file and solve it; the step `mdp` and `simulate` share."""
     with open(config_path) as fh:
-        cfg = json.load(fh)
-    spec = mdp.MdpSpec.from_config(cfg)
+        spec = mdp.MdpSpec.from_config(json.load(fh))
     solve = mdp.policy_iteration if algorithm == "pi" else mdp.relative_value_iteration
-    sol = solve(spec, tol=tol)
+    return spec, solve(spec, tol=tol)
+
+
+def cmd_mdp(config_path: str, algorithm: str, tol: float):
+    spec, sol = _solve_config(config_path, algorithm, tol)
     meta = {
         "command": "mdp",
         "algorithm": algorithm,
@@ -303,7 +307,7 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
 
 
 def cmd_simulate(config_path: str, horizon: float, warmup, seed: int):
-    meta_mdp, _, _, spec, sol = cmd_mdp(config_path, "pi", 1e-9)
+    spec, sol = _solve_config(config_path, "pi", 1e-9)
     cfg = SimConfig(spec=spec, policy=sol.policy, horizon=horizon, warmup=warmup, seed=seed)
     result = simulate_policy(cfg)
     report = compare_to_analytic(result, spec, sol.policy)

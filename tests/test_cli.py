@@ -650,6 +650,17 @@ def test_cli_calibration_overflow_is_one_error_line(tmp_path, scenario, command,
     assert not (tmp_path / "r.json").exists()
 
 
+def test_simulate_shares_only_the_solve_with_mdp(tmp_path, monkeypatch):
+    # the mdp report's structure check and rows are not part of a simulate run
+    def refuse(*args):
+        raise AssertionError("simulate built the mdp report")
+
+    monkeypatch.setattr(cli, "cmd_mdp", refuse)
+    monkeypatch.setattr(cli.mdp, "verify_structure", refuse)
+    meta, rows, _ = cmd_simulate(_mdp_config(tmp_path), 5000.0, None, 42)
+    assert meta["passed"] is True and len(rows) == 11
+
+
 def test_cli_simulate_refuses_a_walk_too_long_to_run(tmp_path):
     # a departure term of 1e200 hides the arrivals; horizon x largest rate is 2e202 transitions
     config = tmp_path / "mdp.json"

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from spottransit import simulate
 from spottransit.mdp import (
     MdpSpec,
     Policy,
@@ -32,6 +35,10 @@ def test_config_validation():
         SimConfig(K1_SPEC, K1_POLICY, horizon=10.0, seed=1, warmup=10.0)
     with pytest.raises(ValueError):
         SimConfig(K1_SPEC, K1_POLICY, horizon=10.0, seed=1, start_state=5)
+    for field, value in [("start_state", 1.5), ("start_state", True), ("start_state", np.int64(1)),
+                         ("n_batches", 2.5), ("n_batches", True), ("n_batches", "20")]:
+        with pytest.raises(ValueError, match=field):
+            SimConfig(K1_SPEC, K1_POLICY, horizon=10.0, seed=1, **{field: value})
     cfg = SimConfig(K1_SPEC, K1_POLICY, horizon=100.0, seed=1)
     assert cfg.warmup == pytest.approx(5.0)  # default 5% of horizon
 
@@ -205,6 +212,13 @@ def _wandering_to_stuck():
     return spec, Policy([4.0] + [2.0] * 39 + [4.0])
 
 
+def _falling_to(dead, capacity):
+    # no arrivals, so each transition steps one state down; state `dead` posts the price 0,
+    # where nothing departs either, so a walk from n stops there after n - dead transitions
+    spec = MdpSpec(capacity, np.array([0.0, 4.0]), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0))
+    return spec, Policy([0.0 if n == dead else 4.0 for n in range(capacity + 1)])
+
+
 BIT_CASES = [
     *[pytest.param(*_optimal(d, k), dict(horizon=2_000.0, seed=31 + k), id=f"model{m}-k{k}")
       for m, d in enumerate(REFERENCE_DEPARTURES) for k in (1, 10, 100)],
@@ -221,16 +235,64 @@ BIT_CASES = [
     pytest.param(MdpSpec(3, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0)),
                  Policy([0.0, 0.0, 4.0, 4.0]), dict(horizon=100.0, seed=3, start_state=3),
                  id="stuck-after-two"),
+    # the walk takes two draws per pass: stuck-after-two stops on the second draw of a pair,
+    # this one on the first
+    pytest.param(*_falling_to(4, 9), dict(horizon=100.0, seed=4, start_state=9),
+                 id="stuck-on-first-draw"),
+    pytest.param(*_falling_to(4, 10), dict(horizon=100.0, seed=4, start_state=4), id="stuck-at-start"),
+    # the last draw of a chunk brings the walk to the dead state
+    pytest.param(*_falling_to(4, simulate._CHUNK + 4),
+                 dict(horizon=1e4, seed=6, start_state=simulate._CHUNK + 4), id="stuck-at-chunk-end"),
 ]
 
 
 @pytest.mark.parametrize("spec,policy,kw", BIT_CASES)
 def test_block_stepping_matches_scalar_loop(spec, policy, kw):
     cfg = SimConfig(spec, policy, **kw)
-    got, want = simulate_policy(cfg), reference_simulate(cfg)
+    assert_same_result(simulate_policy(cfg), reference_simulate(cfg))
+
+
+def assert_same_result(got: SimResult, want: SimResult):
     for f in dataclasses.fields(SimResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+
+
+@st.composite
+def random_chains(draw):
+    """A birth-death chain with random per-state prices, a horizon of up to ~150k transitions
+    (past one RNG block), and random warmup, batches and start state.  A state is dead
+    (lambda = delta = 0) where it posts the null price at 0, or, with no arrivals at all,
+    the price 0 where departures vanish at 0 too."""
+    capacity = draw(st.integers(1, 30))
+    p_max = 4.0
+    arrival = draw(st.sampled_from([[24.0, 0.0, -1.5], [3.0, -0.75], [0.0]]))
+    departure = draw(st.sampled_from([[0.0, 0.3], [0.5, 1.0], [0.0, 0.0, 3.0]]))
+    grid = np.linspace(0.0, p_max, draw(st.integers(2, 6)))
+    rates = RateModel.from_polynomials(arrival, departure, p_max)
+    spec = MdpSpec(capacity, grid, rates)
+    idx = draw(st.lists(st.integers(0, len(grid) - 1), min_size=capacity, max_size=capacity))
+    policy = Policy(grid[idx + [len(grid) - 1]])
+    total = sum(policy_rates(spec, policy))  # positive at K at least, which posts p_max
+    transitions = draw(st.sampled_from([150_000, 20_000, 3_000, 10]))
+    horizon = transitions / float(np.median(total[total > 0]))
+    warmup = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.9)) * horizon]))
+    return SimConfig(spec, policy, horizon=horizon, seed=draw(st.integers(0, 2**32 - 1)),
+                     warmup=warmup, start_state=draw(st.integers(0, capacity)),
+                     n_batches=draw(st.integers(2, 25)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_chains())
+# one run always spans an RNG block
+@example(SimConfig(*_optimal([0.0, 0.3], 30), horizon=40_000.0, seed=12, warmup=700.0,
+                   start_state=30, n_batches=25))
+def test_block_stepping_matches_scalar_loop_on_random_chains(cfg):
+    assert_same_result(simulate_policy(cfg), reference_simulate(cfg))
+
+
+def test_chunk_is_even_and_divides_the_block():
+    assert simulate._CHUNK % 2 == 0 and simulate._BLOCK % simulate._CHUNK == 0
 
 
 def test_wandering_chain_gets_stuck_partway():
