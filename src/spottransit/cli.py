@@ -302,7 +302,8 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
         "iterations": sol.iterations,
         "structure": asdict(mdp.verify_structure(sol)),
     }
-    rows = [{"state": n, "price": p, "h": h} for n, p, h in sol.csv_rows()]
+    rows = [{"state": n, "price": p, "h": h}
+            for n, (p, h) in enumerate(zip(sol.policy.prices.tolist(), sol.h.tolist()))]
     return meta, rows, ["state", "price", "h"], spec, sol
 
 

@@ -29,9 +29,11 @@ the differences of h, and relative value iteration, an independent
 check on it that never solves a linear system.  Relative value
 iteration runs as modified policy iteration: an outer loop of greedy
 steps, each followed by a fixed number of cheap damped sweeps of the
-backup under that step's policy.  It stops on the span of the last
-greedy backup, which brackets J*, and its `iterations` count greedy
-steps.
+backup under that step's policy, run in place over buffers made once
+per step.  It stops on the span of the last greedy backup, which
+brackets J*, and its `iterations` count greedy steps.  One function,
+`_backup`, holds the backup formula; every caller hands it the gaps of
+h to the neighbours rather than h and the states.
 
 Both improve greedily: each state takes the grid price with the largest
 right side, ties going to the lowest price, and the full state keeps
@@ -42,9 +44,11 @@ is monotone and only the two grid points around each of these special
 points can win.  The greedy step evaluates windows of a few grid
 points around them, O(K) cells instead of the O(K G) matrix, with the
 same per-cell arithmetic, so its result is bit-identical to the full
-argmax.  Where rounding could flatten a slope into ties beyond a
-window, a rounding-error bound flags the state and its whole row is
-scanned (see `_greedy`).
+argmax.  Its per-state arrays hold the states on the last, contiguous
+axis (a few candidate rows of K+1 states each), so its reductions run
+over a handful of long rows.  Where rounding could flatten a slope into
+ties beyond a window, a rounding-error bound flags the state and its
+whole row is scanned (see `_greedy`).
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ from functools import cached_property
 import numpy as np
 
 # Largest capacity and price grid from_config accepts.  A greedy step holds a
-# few arrays of (K+1) x c candidate cells, c = 6 per special point per state
-# (12 for the reference models: ~1 KB per state), and a few of G cells.
+# few arrays of c x (K+1) candidate cells, c = 6 per special point per state
+# plus the shared windows (13-19 for the reference models: 0.7-1 KB per state
+# at its peak), and a few of G cells.
 _MAX_CAPACITY = 10**6
 _MAX_PRICES = 10**6
 # weight of the new iterate in relative value iteration's averaging step
@@ -164,12 +169,14 @@ class MdpSpec:
 
         The candidates every state shares: the windows around the grid
         ends and around each kink (the first index of a new run of
-        positive or zero clamped arrival rates), with their edges (column,
-        step) that face prices outside them.  The derivatives of the
-        arrival and departure polynomials as two coefficient rows.
-        Whether a zero-arrival run holds more than the null price.
-        sum |c_k| p_max^k of each rate polynomial, which bounds its
-        evaluation error over eps, and the larger of the two degrees.
+        positive or zero clamped arrival rates).  The certificate's edges:
+        the candidate rows (row, step) whose neighbour price one step
+        outside is not a candidate, for the shared windows and for each
+        root window.  The derivatives of the arrival and departure
+        polynomials as two coefficient columns.  Whether a zero-arrival
+        run holds more than the null price.  sum |c_k| p_max^k of each
+        rate polynomial, which bounds its evaluation error over eps, and
+        the larger of the two degrees.
         """
         lam, dlt = self.rates.arrival, self.rates.departure
         pos = self.lam_grid > 0
@@ -177,15 +184,21 @@ class MdpSpec:
         kinks = np.flatnonzero(pos[1:] != pos[:-1]) + 1
         fixed = np.unique(np.clip(np.r_[0, G, kinks][:, None] + _WINDOW, 0, G - 1))
         beyond = fixed + np.array([[-1], [1]])
-        col, step = np.nonzero(((beyond >= 0) & (beyond < G) & ~np.isin(beyond, fixed)).T)
+        fixed_edge, side = np.nonzero(((beyond >= 0) & (beyond < G) & ~np.isin(beyond, fixed)).T)
         dl, dd = lam.deriv().coef, dlt.deriv().coef
-        slopes = np.zeros((2, max(len(dl), len(dd))))
-        slopes[0, : len(dl)], slopes[1, : len(dd)] = dl, dd
+        width = max(len(dl), len(dd))
+        slopes = np.zeros((2, width, 1))
+        slopes[0, : len(dl), 0], slopes[1, : len(dd), 0] = dl, dd
         clamped = not pos[:-1].all()
+        # each polynomial piece has width - 1 roots, and each root a window of candidates
+        f, w = len(fixed), (width - 1) * (1 + clamped) * len(_WINDOW)
+        first = np.arange(f, f + w, len(_WINDOW))
+        edge = np.concatenate([fixed_edge, first, first + len(_WINDOW) - 1])
+        step = np.concatenate([2 * side - 1, np.repeat([-1, 1], len(first))])
         p = abs(self.price_grid[-1])
         rate_abs = [np.polynomial.polynomial.polyval(p, np.abs(c.coef)) for c in (lam, dlt)]
         degree = max(len(lam.coef), len(dlt.coef)) - 1
-        return fixed, (col, 2 * step - 1), slopes, clamped, rate_abs, degree
+        return fixed, edge, step[:, None], slopes, clamped, rate_abs, degree
 
 
 @dataclass(frozen=True)
@@ -279,21 +292,29 @@ def average_revenue(spec: MdpSpec, policy: Policy) -> float:
     return float(np.sum(pi * np.arange(spec.capacity + 1) * policy.prices))
 
 
-def _backup(h: np.ndarray, states, prices, lam_u, dlt_u) -> np.ndarray:
-    """Right side of the optimality equation at gathered (state, price) pairs.
+def _backup(rev, h_n, up, dn, lam_u, dlt_u, out=None) -> np.ndarray:
+    """Right side of the optimality equation, elementwise over the broadcast
+    of its arguments.
 
-    q = n p + h_n + lam_u (h_{n+1} - h_n) + dlt_u (h_{n-1} - h_n), elementwise
-    over the broadcast of n = states with the prices and lam_u, dlt_u (the
-    rates at those prices over U); h_{-1} = h_0 and h_{K+1} = h_K.
+    q = n p + h_n + lam_u (h_{n+1} - h_n) + dlt_u (h_{n-1} - h_n), from the
+    revenue rate rev = n p, h_n, the gaps up = h_{n+1} - h_n and
+    dn = h_{n-1} - h_n to the neighbours (zero past the ends: h_{-1} = h_0
+    and h_{K+1} = h_K), and the rates at the price over U.  q is written
+    to `out` when it is given.
     """
-    h_n = h[states]
-    up = h[np.minimum(states + 1, len(h) - 1)] - h_n
-    dn = h[np.maximum(states - 1, 0)] - h_n
-    q = states * prices
-    q += h_n
+    q = np.add(rev, h_n, out=out)
     q += up * lam_u
     q += dn * dlt_u
     return q
+
+
+def _gaps(h: np.ndarray) -> np.ndarray:
+    """d_n = h_n - h_{n-1} for n = 0..K+1 (K+2 entries), zero at both ends.
+    State n's upper gap h_{n+1} - h_n is d_{n+1}, and its lower gap
+    h_{n-1} - h_n is -d_n exactly, since rounding is symmetric."""
+    d = np.zeros(len(h) + 1)
+    np.subtract(h[1:], h[:-1], out=d[1:-1])
+    return d
 
 
 def bellman_backup(spec: MdpSpec, n: int, h: np.ndarray, p: float) -> float:
@@ -303,8 +324,9 @@ def bellman_backup(spec: MdpSpec, n: int, h: np.ndarray, p: float) -> float:
         raise IndexError(f"state {n} outside 0..{K}")
     u = uniformization_rate(spec)
     lam_u, dlt_u = spec.rates.arrival_rate(p) / u, spec.rates.departure_rate(p) / u
-    q = _backup(np.asarray(h, dtype=float), np.array([n]), np.array([p]), lam_u, dlt_u)
-    return float(q[0])
+    h = np.asarray(h, dtype=float)
+    d = _gaps(h)
+    return float(_backup(n * p, h[n], d[n + 1], -d[n], lam_u, dlt_u))
 
 
 @dataclass(frozen=True)
@@ -322,47 +344,47 @@ class DpSolution:
             "iterations": self.iterations,
         }
 
-    def csv_rows(self):
-        for n, (p, h) in enumerate(zip(self.policy.prices, self.h)):
-            yield n, float(p), float(h)
-
 
 def _real_roots(coef: np.ndarray) -> np.ndarray:
-    """Real parts of the roots of each row's polynomial (ascending coefficients),
-    NaN-padded to one column per degree of the widest row.
+    """Real parts of the roots of each column's polynomial (ascending
+    coefficients down the column), NaN-padded to one row per degree of the
+    tallest column.
 
-    The roots are the eigenvalues of each row's companion matrix, batched
-    by trimmed degree: in closed form for degrees 1 and 2 (the matrix
-    entry; half the trace plus or minus the root of the discriminant), by
-    one `numpy.linalg.eigvals` call for each higher degree.  A leading
-    coefficient that is zero, or below 1e-100 of the row's largest (its
-    root then lies ~1e33 or more away), drops the row to a lower degree;
-    a row of zeros has no roots.  Every real part is kept: a near-double
-    root that rounding splits into a complex pair still marks its place.
+    The roots are the eigenvalues of each column's companion matrix,
+    batched by trimmed degree: in closed form for degrees 1 and 2 (the
+    matrix entry; half the trace plus or minus the root of the
+    discriminant), by one `numpy.linalg.eigvals` call for each higher
+    degree.  A leading coefficient that is zero, or below 1e-100 of the
+    column's largest (its root then lies ~1e33 or more away), drops the
+    column to a lower degree; a column of zeros has no roots.  Every real
+    part is kept: a near-double root that rounding splits into a complex
+    pair still marks its place.
     """
-    width = coef.shape[1]
+    width = len(coef)
     mag = np.abs(coef)
-    live = mag > 1e-100 * mag.max(axis=1, keepdims=True)
-    deg = (live * np.arange(width)).max(axis=1)
-    roots = np.full((len(coef), width - 1), np.nan)
+    live = mag > 1e-100 * mag.max(axis=0)
+    deg = (live * np.arange(width)[:, None]).max(axis=0)
+    roots = np.full((width - 1, coef.shape[1]), np.nan)
     for d in range(1, width):
-        rows = np.flatnonzero(deg == d)
-        c = coef[rows, :d] / coef[rows, d, None]  # monic: p^d + c[d-1] p^(d-1) + ... + c[0]
+        cols = np.flatnonzero(deg == d)
+        if not len(cols):
+            continue
+        c = coef[:d, cols] / coef[d, cols]  # monic: p^d + c[d-1] p^(d-1) + ... + c[0]
         if d == 1:
-            roots[rows, 0] = -c[:, 0]
+            roots[0, cols] = -c[0]
         elif d == 2:
-            half = -0.5 * c[:, 1]
-            disc = half * half - c[:, 0]
+            half = -0.5 * c[1]
+            disc = half * half - c[0]
             big = half + np.copysign(np.sqrt(np.maximum(disc, 0.0)), half)
-            roots[rows, 0] = big
+            roots[0, cols] = big
             # the product of the roots over the larger one; unused (and maybe 0/0) where disc < 0
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                roots[rows, 1] = np.where(disc < 0.0, half, c[:, 0] / big)
-        elif len(rows):
-            comp = np.zeros((len(rows), d, d))
+                roots[1, cols] = np.where(disc < 0.0, half, c[0] / big)
+        else:
+            comp = np.zeros((len(cols), d, d))
             comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            comp[:, :, -1] = -c
-            roots[rows, :d] = np.linalg.eigvals(comp).real
+            comp[:, :, -1] = -c.T
+            roots[:d, cols] = np.linalg.eigvals(comp).real.T
     return roots
 
 
@@ -390,59 +412,64 @@ def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndar
     every grid point but the two around a special point.  The candidates
     are the window i-3..i+2 around each special point.
 
+    Every per-state array holds the states on its last, contiguous axis:
+    the coefficients are (width, K+1), the roots (r, K+1) and the
+    candidate cells (cells, K+1), so each reduction over a state's cells
+    runs down short columns of long rows.
+
     Rounding can still flatten a slope into a plateau of near-ties whose
-    lowest index the full argmax would return.  So each row is certified:
-    a window edge that faces unevaluated grid points must lie below the
-    row's best by more than twice a bound on the rounding error of q, so
-    that nothing on the monotone stretch beyond it reaches the best.  Rows
-    that fail are evaluated on the whole grid.
+    lowest index the full argmax would return.  So each state is
+    certified: a window edge that faces unevaluated grid points must lie
+    below the state's best by more than twice a bound on the rounding
+    error of q, so that nothing on the monotone stretch beyond it reaches
+    the best.  States that fail are evaluated on the whole grid.
     """
     grid, K = spec.price_grid, spec.capacity
     G = len(grid)
-    fixed, (fixed_edge, fixed_step), slopes, clamped, rate_abs, degree = spec._greedy_terms
+    fixed, edge, step, slopes, clamped, rate_abs, degree = spec._greedy_terms
     lam_u, dlt_u = spec.lam_grid / u, spec.dlt_grid / u
-    dh = np.zeros(K + 2)
-    dh[1:-1] = np.diff(h) / u
-    a, b = dh[1:], -dh[:-1]  # (h_{n+1} - h_n)/U and (h_{n-1} - h_n)/U, zero past the ends
+    d = _gaps(h)
+    up, dn = d[1:], -d[:-1]
+    a, b = up / u, dn / u  # (h_{n+1} - h_n)/U and (h_{n-1} - h_n)/U, zero past the ends
     n = np.arange(K + 1)
 
-    coef = a[:, None] * slopes[0] + b[:, None] * slopes[1]
-    coef[:, 0] += n
-    points = [_real_roots(coef)]
+    coef = slopes[0] * a + slopes[1] * b
+    coef[0] += n
+    roots = _real_roots(coef)
     if clamped:  # the critical points of the zero-arrival piece
-        coef = b[:, None] * slopes[1]
-        coef[:, 0] += n
-        points.append(_real_roots(coef))
-    win = np.searchsorted(grid, np.concatenate(points, axis=1))[:, :, None] + _WINDOW
-    f, w = len(fixed), win.shape[1] * len(_WINDOW)
-    cand = np.empty((K + 1, f + w), dtype=np.intp)
-    cand[:, :f] = fixed
-    cand[:, f:] = np.minimum(np.maximum(win, 0), G - 1).reshape(K + 1, -1)
-    cand[K] = G - 1
+        coef = slopes[1] * b
+        coef[0] += n
+        roots = np.concatenate([roots, _real_roots(coef)])
+    f = len(fixed)
+    cand = np.empty((f + len(roots) * len(_WINDOW), K + 1), dtype=np.intp)
+    cand[:f] = fixed[:, None]
+    win = cand[f:].reshape(len(roots), len(_WINDOW), K + 1)
+    np.add(np.searchsorted(grid, roots)[:, None], _WINDOW[:, None], out=win)
+    np.maximum(win, 0, out=win)
+    np.minimum(win, G - 1, out=win)
+    cand[:, K] = G - 1
 
-    q = _backup(h, n[:, None], *np.stack([grid, lam_u, dlt_u])[:, cand])
-    best = q.max(axis=1)
-    idx = np.where(q == best[:, None], cand, G).min(axis=1)
+    q = _backup(n * grid.take(cand), h, up, dn, lam_u.take(cand), dlt_u.take(cand))
+    best = q.max(axis=0)
+    idx = np.where(q == best, cand, G).min(axis=0)
 
     # certificate: each window edge facing unevaluated prices must be clearly below the best
-    first = np.arange(f, f + w, len(_WINDOW))
-    edge = np.concatenate([fixed_edge, first, first + len(_WINDOW) - 1])
-    step = np.concatenate([fixed_step, np.repeat([-1, 1], len(first))])
     # q is four roundings of sums of terms bounded by `scale`, two of which hold a
     # Horner evaluation of degree d: |q - exact| <= (d + 4) eps scale, plus one
     # subnormal spacing per rounding for underflow; one more eps for slack
     scale = n * grid[-1] + np.abs(h) + np.abs(a) * rate_abs[0] + np.abs(b) * rate_abs[1]
     err = (degree + 5) * (_EPS * scale + _TINY)
-    beyond = cand[:K, edge] + step
-    near = q[:K, edge] >= (best[:K] - 2 * err[:K])[:, None]
-    rows, cols = np.nonzero(near & (beyond >= 0) & (beyond < G))
-    if len(rows):  # certified after all if the price beyond the edge was evaluated
-        bad = np.unique(rows[~(cand[rows] == beyond[rows, cols][:, None]).any(axis=1)])
+    beyond = cand[edge, :K] + step
+    near = q[edge, :K] >= best[:K] - 2 * err[:K]
+    cols, states = np.nonzero(near & (beyond >= 0) & (beyond < G))
+    if len(states):  # certified after all if the price beyond the edge was evaluated
+        seen = (cand[:, states] == beyond[cols, states]).any(axis=0)
+        bad = np.unique(states[~seen])
         per = max(1, _FULL_ROW_CELLS // G)
         for lo in range(0, len(bad), per):
-            r = bad[lo : lo + per]
-            full = _backup(h, r[:, None], grid, lam_u, dlt_u)
-            idx[r], best[r] = full.argmax(axis=1), full.max(axis=1)
+            r = bad[lo : lo + per, None]
+            full = _backup(r * grid, h[r], up[r], dn[r], lam_u, dlt_u)
+            idx[r[:, 0]], best[r[:, 0]] = full.argmax(axis=1), full.max(axis=1)
     return idx, best
 
 
@@ -551,6 +578,30 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     )
 
 
+def _sweep_policy(spec: MdpSpec, idx: np.ndarray, h: np.ndarray, u: float) -> None:
+    """`_INNER_SWEEPS` damped sweeps of the backup under the policy idx,
+    h <- (1 - D) h + D (w - w_K) with w the backup of h, updating h in place.
+
+    The rates and n p are gathered once, and every sweep writes into the
+    same two buffers: the gaps of h (see `_gaps`) and the backup w.  The
+    lower gap h_{n-1} - h_n is the negated upper gap of state n-1, so the
+    departure rates are negated once instead; each product and sum is the
+    one the backup at gathered gaps would round, in the same order.
+    """
+    K = spec.capacity
+    lam, dlt = _chain_rates(spec, idx)
+    rev, lam_u, neg_dlt_u = np.arange(K + 1) * spec.price_grid[idx], lam / u, dlt / -u
+    d, w = np.zeros(K + 2), np.empty(K + 1)
+    h_hi, h_lo, d_in, d_up, d_dn = h[1:], h[:-1], d[1:-1], d[1:], d[:-1]  # views, made once
+    for _ in range(_INNER_SWEEPS):
+        np.subtract(h_hi, h_lo, out=d_in)  # the gaps of h, as `_gaps` computes them
+        _backup(rev, h, d_up, d_dn, lam_u, neg_dlt_u, out=w)
+        w -= w[K]  # keep h_K = 0
+        w *= _DAMPING
+        h *= 1.0 - _DAMPING
+        h += w
+
+
 def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 10_000) -> DpSolution:
     """Relative value iteration as modified policy iteration (Puterman and
     Shin 1978; Puterman 1994, ch. 8), with a span-seminorm stop.
@@ -559,8 +610,9 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
     span(Th - h) <= tol * max(1, |J|), J the mid-range of Th - h; for any
     h, min(Th - h) <= J* <= max(Th - h) (Odoni 1969), so the reported J*
     carries that bracket.  Otherwise h moves to the backup, and then
-    `_INNER_SWEEPS` cheap sweeps under the greedy step's policy follow:
-    the same backup at the chosen prices only, with rates gathered once.
+    `_INNER_SWEEPS` cheap sweeps under the greedy step's policy follow
+    (`_sweep_policy`): the same backup at the chosen prices only, with
+    rates and n p gathered once and h updated in place.
     Every update is averaged with the previous vector (an aperiodicity
     transformation): the raw iteration can settle into a period-2 value
     oscillation whose span never shrinks, while the damped one contracts
@@ -571,7 +623,6 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
         return _no_demand_solution(spec)
     u = uniformization_rate(spec)
     K = spec.capacity
-    states = np.arange(K + 1)
     h = np.zeros(K + 1)
     for it in range(1, max_iter + 1):
         idx, w = _greedy(spec, h, u)
@@ -582,11 +633,7 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
             h = w - w[K]
             break
         h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])  # keep h_K = 0
-        lam, dlt = _chain_rates(spec, idx)
-        prices, lam_u, dlt_u = spec.price_grid[idx], lam / u, dlt / u
-        for _ in range(_INNER_SWEEPS):
-            w = _backup(h, states, prices, lam_u, dlt_u)
-            h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])
+        _sweep_policy(spec, idx, h, u)
     else:
         raise RuntimeError(
             f"relative value iteration did not reach span {tol} in {max_iter} greedy steps"

@@ -31,6 +31,7 @@ are bit-for-bit those of that loop.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -66,16 +67,24 @@ class SimConfig:
     n_batches: int = 20
 
     def __post_init__(self):
+        for name in ("horizon", "warmup"):
+            value = getattr(self, name)
+            if name == "warmup" and value is None:
+                continue  # the default, computed below
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.05 * self.horizon)
         if not (math.isfinite(self.horizon) and math.isfinite(self.warmup)):
             raise ValueError(f"horizon and warmup must be finite, got {self.horizon}, {self.warmup}")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
-        for name in ("start_state", "n_batches"):
+        for name in ("seed", "start_state", "n_batches"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 0 <= self.start_state <= self.spec.capacity:
             raise ValueError(f"start state {self.start_state} outside 0..{self.spec.capacity}")
         if self.n_batches < 2:

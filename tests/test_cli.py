@@ -245,6 +245,15 @@ def test_main_predict(tmp_path):
     assert saved["meta"]["degenerate"] is True  # noiseless periodic trace
 
 
+def test_mdp_rows_hold_the_solution_as_python_floats(tmp_path):
+    meta, rows, columns, spec, sol = cmd_mdp(_mdp_config(tmp_path), "pi", 1e-9)
+    assert columns == ["state", "price", "h"]
+    assert rows == [{"state": n, "price": float(p), "h": float(h)}
+                    for n, (p, h) in enumerate(zip(sol.policy.prices, sol.h))]
+    assert all(type(r["state"]) is int and type(r["price"]) is type(r["h"]) is float
+               for r in rows)
+
+
 def test_main_mdp_and_simulate(tmp_path):
     cfg = tmp_path / "mdp.json"
     cfg.write_text(json.dumps(

@@ -284,6 +284,62 @@ def test_rvi_matches_reference_rvi(spec):
     assert sol.iterations <= ref.iterations
 
 
+def reference_sweeps(spec, idx, h, u):
+    """RVI's damped fixed-policy sweeps as they ran before they went in place:
+    each sweep gathers h's neighbours, backs up and builds a new h."""
+    K = spec.capacity
+    states = np.arange(K + 1)
+    lam, dlt = mdp._chain_rates(spec, idx)
+    prices, lam_u, dlt_u = spec.price_grid[idx], lam / u, dlt / u
+    for _ in range(mdp._INNER_SWEEPS):
+        h_n = h[states]
+        up = h[np.minimum(states + 1, K)] - h_n
+        dn = h[np.maximum(states - 1, 0)] - h_n
+        w = states * prices
+        w += h_n
+        w += up * lam_u
+        w += dn * dlt_u
+        h = (1.0 - mdp._DAMPING) * h + mdp._DAMPING * (w - w[K])
+    return h
+
+
+_in_place_sweeps = mdp._sweep_policy  # kept for the test that wraps mdp._sweep_policy
+
+
+def _assert_sweeps_match(spec, idx, h, u):
+    ref = reference_sweeps(spec, idx, h.copy(), u)
+    _in_place_sweeps(spec, idx, h, u)
+    assert h.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
+
+
+SWEEP_SPECS = [*(make_spec(delta, capacity=k) for k in (1, 10, 100) for delta, _ in TABLE),
+               clamped_arrival_spec()]
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=[
+    *(f"K{k}-{i}" for k in (1, 10, 100) for i in range(len(TABLE))), "ceiling"])
+def test_in_place_sweeps_equal_the_reference_sweeps(monkeypatch, spec):
+    calls = []
+
+    def checked(*args):
+        calls.append(1)
+        _assert_sweeps_match(*args)
+
+    monkeypatch.setattr(mdp, "_sweep_policy", checked)
+    relative_value_iteration(spec)  # every sweep block of a solve, on its own h and policies
+    assert calls
+
+    rng = np.random.default_rng(spec.capacity)
+    u, g = uniformization_rate(spec), len(spec.price_grid)
+    for scale in (1.0, 1e4, 1e8):
+        idx = np.append(rng.integers(0, g, spec.capacity), g - 1)
+        _assert_sweeps_match(spec, idx, rng.uniform(-scale, scale, spec.capacity + 1), u)
+    # a ceiling below K, and h with equal neighbours
+    idx = np.full(spec.capacity + 1, g - 1)
+    idx[: spec.capacity // 2] = g // 3
+    _assert_sweeps_match(spec, idx, np.round(rng.uniform(-3.0, 3.0, spec.capacity + 1)), u)
+
+
 def test_structure_checks_pass_on_reference_instance():
     sol = policy_iteration(make_spec([0.0, 0.3]))
     rep = verify_structure(sol)
@@ -344,9 +400,8 @@ def test_solution_serialization():
     sol = policy_iteration(make_spec([0.0, 0.3], capacity=10, n_prices=100))
     d = sol.to_dict()
     assert d["iterations"] == sol.iterations and len(d["h"]) == 11 and len(d["policy"]) == 11
-    rows = list(sol.csv_rows())
-    assert rows[0][0] == 0 and rows[-1][0] == 10
-    assert rows[-1][1] == 4.0
+    assert d["policy"] == sol.policy.prices.tolist() and d["h"] == sol.h.tolist()
+    assert d["policy"][-1] == 4.0 and d["h"][-1] == 0.0
 
 
 def test_from_config():
@@ -727,6 +782,62 @@ def test_policy_iteration_and_rvi_agree_property(spec):
     assert abs(a.j_star - b.j_star) <= tol * max(1.0, abs(a.j_star))
 
 
+@st.composite
+def _concave_demand_specs(draw, free_departures=True):
+    """Arrivals a0 (1 - (p/p_max)^k), concave and zero at the null price, and
+    departures of degree <= 3 with non-negative coefficients; with
+    `free_departures` the constant term is 0, so nothing departs at price 0."""
+    p_max = draw(st.sampled_from([1.0, 4.0, 7.5]))
+    a0, k = draw(st.floats(0.1, 100.0)), draw(st.integers(1, 4))
+    lam = np.polynomial.Polynomial([a0, *[0.0] * (k - 1), -a0 / p_max**k])
+    beta = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=4, max_size=4))
+    if free_departures:
+        beta[0] = 0.0
+    if not any(beta[1:]):
+        beta[-1] = 1.0
+    grid = np.linspace(0.0, p_max, draw(st.integers(10, 200)))
+    rates = RateModel(lam, np.polynomial.Polynomial(beta), p_max)
+    return MdpSpec(draw(st.integers(1, 60)), grid, rates)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_detailed_balance_on_random_grid_policies_property(data):
+    spec = data.draw(_concave_demand_specs(free_departures=data.draw(st.booleans())))
+    k, g = spec.capacity, len(spec.price_grid)
+    idx = np.array(data.draw(st.lists(st.integers(0, g - 1), min_size=k, max_size=k)) + [g - 1])
+    policy = Policy(spec.price_grid[idx])
+    pi = steady_state(spec, policy)
+    lam, dlt = policy_rates(spec, policy)
+    up, down = pi[:-1] * lam[:-1], pi[1:] * dlt[1:]  # probability flow across each edge
+    assert np.abs(up - down).max() <= 1e-12 * max(up.max(), down.max())
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_concave_demand_specs())
+def test_structure_holds_on_concave_demand_models_property(spec):
+    rep = verify_structure(policy_iteration(spec))
+    assert rep.worst_violation <= 8 * np.finfo(float).eps
+
+
+def test_h_is_not_concave_when_departures_do_not_vanish_at_price_zero():
+    # found by the structure property over departures with a constant term: with a
+    # departure rate that price cannot change, every state below K posts price 0
+    # and only the full state earns (K p_max at the null price), so h is convex
+    # there.  PI and RVI agree, so the breach is the model's, not rounding
+    rates = RateModel.from_polynomials([1.0, -1.0], [1.0], 1.0)
+    spec = MdpSpec(2, np.linspace(0.0, 1.0, 11), rates)
+    a, b = policy_iteration(spec), relative_value_iteration(spec)
+    np.testing.assert_array_equal(a.policy.prices, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(b.policy.prices, a.policy.prices)
+    assert a.j_star == pytest.approx(2.0 / 3.0, rel=1e-12)
+    np.testing.assert_allclose(a.h, [-4.0, -8.0 / 3.0, 0.0], rtol=1e-12)
+    rep = verify_structure(a)
+    assert rep.h_monotone and rep.price_monotone and not rep.h_concave
+    assert rep.violations == [("h_concave", 1)]
+    assert rep.worst_violation == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
 def test_policy_iteration_and_rvi_agree_on_a_stiff_chain():
     # shrunk from a wider arrival family: lam(0)/U = 6.5e-5, so each damped sweep
     # shrinks the span by only ~3e-5; RVI takes 4,123 greedy steps at this tol (and
@@ -741,7 +852,7 @@ def test_policy_iteration_and_rvi_agree_on_a_stiff_chain():
 
 
 def test_real_roots_by_degree():
-    rows = np.array([
+    columns = np.array([
         [0.0, 0.0, 0.0, 0.0],        # no roots
         [2.0, 0.0, 0.0, 0.0],        # a non-zero constant: none either
         [-3.0, 1.5, 0.0, 0.0],       # degree 1: 2
@@ -749,9 +860,29 @@ def test_real_roots_by_degree():
         [1.0, 0.0, 1.0, 0.0],        # +-i: real parts 0
         [-6.0, 11.0, -6.0, 1.0],     # degree 3 (eigvals): 1, 2, 3
         [-1.0, 1.0, 0.0, 1e-120],    # negligible leading coefficient: degree 1, root 1
-    ])
-    roots = mdp._real_roots(rows)
-    found = [np.sort(r[~np.isnan(r)]) for r in roots]
+    ]).T  # one polynomial per column, coefficients ascending down it
+    roots = mdp._real_roots(columns)
+    assert roots.shape == (3, 7)
+    found = [np.sort(r[~np.isnan(r)]) for r in roots.T]
     expect = [[], [], [2.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0, 3.0], [1.0]]
     for got, want in zip(found, expect):
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_real_roots_of_mixed_degrees_match_single_column_calls():
+    # columns of degree 0 to 3 share one call; each must get exactly the roots,
+    # in the same rows, that a call on that column alone returns
+    rng = np.random.default_rng(29)
+    coef = rng.normal(size=(4, 40))
+    for col in range(40):
+        coef[1 + col % 4 :, col] = 0.0  # degree col % 4
+    coef[2, 5] = 1e-130  # below 1e-100 of the column's largest: degree 1
+    coef[:2, 9] = [1.0, 2.0]
+    coef[2, 9] = 1.0  # a double root at -1
+    roots = mdp._real_roots(coef)
+    for col in range(40):
+        alone = mdp._real_roots(coef[:, col : col + 1])
+        np.testing.assert_array_equal(roots[:, col : col + 1], alone)
+    assert np.isnan(roots[:, 0::4]).all()
+    assert (~np.isnan(roots[:, 3::4])).sum(axis=0).tolist() == [3] * 10
+    assert np.isnan(roots[1:, 5]).all()

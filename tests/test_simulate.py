@@ -43,6 +43,31 @@ def test_config_validation():
     assert cfg.warmup == pytest.approx(5.0)  # default 5% of horizon
 
 
+@pytest.mark.parametrize("field,value,needle", [
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", "7", "seed must be an integer, got '7'"),
+    ("seed", None, "seed must be an integer, got None"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+    ("horizon", True, "horizon must be a real number, got True"),
+    ("horizon", "10", "horizon must be a real number, got '10'"),
+    ("horizon", None, "horizon must be a real number, got None"),
+    ("horizon", np.bool_(True), "horizon must be a real number, got np.True_"),
+    ("warmup", False, "warmup must be a real number, got False"),
+    ("warmup", "1", "warmup must be a real number, got '1'"),
+])
+def test_config_refuses_a_bad_seed_horizon_or_warmup(field, value, needle):
+    kw = {"horizon": 10.0, "seed": 1, field: value}
+    with pytest.raises(ValueError) as exc:
+        SimConfig(K1_SPEC, K1_POLICY, **kw)
+    assert str(exc.value) == needle
+
+
+def test_config_takes_numpy_reals_and_a_zero_seed():
+    cfg = SimConfig(K1_SPEC, K1_POLICY, horizon=np.float64(100.0), seed=0, warmup=np.int64(3))
+    assert cfg.warmup == 3 and simulate_policy(cfg).transitions > 0
+
+
 def test_reproducibility():
     cfg = SimConfig(K1_SPEC, K1_POLICY, horizon=500.0, seed=20240817)
     a, b = simulate_policy(cfg), simulate_policy(cfg)
