@@ -200,6 +200,10 @@ def calibrate(inp: CalibrationInput) -> CalibratedScenario:
     r_bar = derive_regular_cost(inp)
     spot = derive_spot_demand(inp)
     regular = derive_regular_demand(inp)
+    try:  # refused only now, so an overflowing curve is named first
+        _finite("spot demand", consumer_surplus=spot.consumer_surplus(inp.p_bar))
+    except DivergentSurplusError:
+        pass  # derive_spot_demand warned of it
     capacity, noise = derive_capacity_and_noise(inp)
     m = inp.m_ratio * inp.p_bar
 

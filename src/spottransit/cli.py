@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import calibration, mdp, pricing, traffic, welfare
+from .demand import demand_family
 from .simulate import SimConfig, compare_to_analytic, simulate_policy
 
 DOLLAR_NOTE = "dollars = price($/Mbps) * demand(Gbps) * 1000, monthly 95th-percentile billing"
@@ -238,7 +239,7 @@ def cmd_worst_case(scn: Scenario):
     """High cost, high penalty, low elasticity; floor violations are findings."""
     rows = _all_rows(_solve_points(scn, [{"beta": beta, **WORST_CASE} for beta in scn.betas]))
     findings = []
-    surplus_floor = 5.0 if scn.inp.kind == "iso" else 60.0
+    surplus_floor = demand_family(scn.inp.kind).worst_case_surplus_floor_pct
     for row in rows:
         beta = row["beta"]
         row["sweep_param"] = "worst_case"

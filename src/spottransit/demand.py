@@ -53,6 +53,8 @@ class DemandSpec(Protocol):
     """
 
     kind: ClassVar[str]  # registry key in FAMILIES and the "kind" of to_dict()
+    # least surplus gain, in percent, the worst-case check expects of the spot regime
+    worst_case_surplus_floor_pct: ClassVar[float]
 
     def demand(self, p): ...
     def slope(self, p): ...
@@ -80,6 +82,7 @@ class IsoElasticDemand:
     v: float
     alpha: float
     kind: ClassVar[str] = "iso"
+    worst_case_surplus_floor_pct: ClassVar[float] = 5.0
 
     def __post_init__(self):
         if not self.v > 0:
@@ -136,7 +139,11 @@ class IsoElasticDemand:
             )
         if not p > 0:
             raise DomainError(f"need p > 0, got {p}")
-        return self.v * p ** (2.0 - self.alpha) / ((self.alpha - 1.0) * (self.alpha - 2.0))
+        try:
+            power = p ** (2.0 - self.alpha)
+        except OverflowError:  # as inf, so calibration refuses the surplus by name
+            power = math.inf
+        return self.v * power / ((self.alpha - 1.0) * (self.alpha - 2.0))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "v": self.v, "alpha": self.alpha}
@@ -164,6 +171,7 @@ class LinearDemand:
     v: float
     alpha: float
     kind: ClassVar[str] = "linear"
+    worst_case_surplus_floor_pct: ClassVar[float] = 60.0
 
     def __post_init__(self):
         if not self.v > 0:
@@ -228,7 +236,11 @@ class LinearDemand:
         """alpha (v/alpha - p)^3 / 6."""
         if p < 0 or p > self.choke_price:
             raise DomainError(f"linear surplus defined on [0, {self.choke_price}], got {p}")
-        return self.alpha * (self.choke_price - p) ** 3 / 6.0
+        try:
+            cube = (self.choke_price - p) ** 3
+        except OverflowError:  # as inf, so calibration refuses the surplus by name
+            cube = math.inf
+        return self.alpha * cube / 6.0
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "v": self.v, "alpha": self.alpha}

@@ -134,7 +134,12 @@ class MdpSpec:
         """{"capacity": K, "arrival": coeffs, "departure": coeffs, "p_max": x, "price_points": N}"""
         if not isinstance(cfg, dict):
             raise ValueError(f"MDP config must be a JSON object, got {type(cfg).__name__}")
-        missing = [k for k in ("capacity", "arrival", "departure", "p_max") if cfg.get(k) is None]
+        required = ("capacity", "arrival", "departure", "p_max")
+        keys = (*required, "price_points")
+        unknown = [k for k in cfg if k not in keys]
+        if unknown:
+            raise ValueError(f"unknown MDP config key {unknown[0]!r}; keys are {', '.join(keys)}")
+        missing = [k for k in required if cfg.get(k) is None]
         if missing:
             raise ValueError(f"MDP config is missing {', '.join(map(repr, missing))}")
         cfg = {"price_points": 1000, **cfg}

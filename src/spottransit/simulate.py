@@ -19,13 +19,15 @@ so the loop needs no test for such a state.  numpy then recovers the
 odd-numbered states from the even ones with the same comparisons, cuts
 the path at its first state with no way out, turns the matching
 exponentials into sojourn ends with one sequential cumulative sum from
-the current time, finds the first end at the horizon, and adds each
-sojourn's post-warmup time into its (batch, state) cell in time order:
-with one `np.add.at` when the whole chunk lies after the warmup, before
-the horizon and inside one batch, else sojourn by sojourn where it
-crosses one of those edges.  Every comparison and addition is the one
-the per-event loop would make, in the same order, so a seed's results
-are bit-for-bit those of that loop.
+the current time, and finds the first end at the horizon.  One function
+adds each run of sojourns (a chunk, or the stuck tail as a run of one)
+into the (batch, state) cells in time order: one `np.add.at` of the
+sojourn lengths when the run lies after the warmup, before the horizon
+and inside one batch; else each sojourn is clipped to [warmup, horizon),
+split into one piece per batch it touches, and every piece goes into one
+`np.add.at`.  Every comparison and addition is the one the per-event
+loop would make, in the same order, so a seed's results are bit-for-bit
+those of that loop.
 """
 
 from __future__ import annotations
@@ -115,46 +117,33 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
 
     n_states = spec.capacity + 1
     batch_len = (cfg.horizon - cfg.warmup) / cfg.n_batches
+    last = cfg.n_batches - 1
     occ_time = np.zeros((cfg.n_batches, n_states))
     occ_cells = occ_time.reshape(-1)  # view: cell b * n_states + state
 
-    def accrue(state: int, t0: float, t1: float):
-        t0 = max(t0, cfg.warmup)
-        t1 = min(t1, cfg.horizon)
-        if t1 <= t0:
-            return
-        b0 = min(int((t0 - cfg.warmup) / batch_len), cfg.n_batches - 1)
-        b1 = min(int((t1 - cfg.warmup) / batch_len), cfg.n_batches - 1)
-        if b0 == b1:
-            occ_time[b0, state] += t1 - t0
-            return
-        for b in range(b0, b1 + 1):
-            lo = cfg.warmup + b * batch_len
-            hi = lo + batch_len
-            occ_time[b, state] += min(t1, hi) - max(t0, lo)
-
-    def accrue_path(states: np.ndarray, t: float, ends: np.ndarray):
-        """accrue() for consecutive sojourns from t, in the same order and arithmetic."""
-        starts = np.concatenate(([t], ends[:-1]))
-        b = min(int((t - cfg.warmup) / batch_len), cfg.n_batches - 1)
-        if (cfg.warmup <= t and ends[-1] < cfg.horizon
-                and b == min(int((ends[-1] - cfg.warmup) / batch_len), cfg.n_batches - 1)):
-            # every sojourn lies in batch b, where accrue() adds end - start to one cell
+    def accrue(states: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        """Add consecutive sojourns' time in [warmup, horizon) to their (batch, state) cells,
+        piece by piece in time order, with the per-event loop's arithmetic."""
+        b = min(int((starts[0] - cfg.warmup) / batch_len), last)
+        if (cfg.warmup <= starts[0] and ends[-1] < cfg.horizon
+                and b == min(int((ends[-1] - cfg.warmup) / batch_len), last)):
+            # every sojourn lies in batch b and adds end - start to one cell
             np.add.at(occ_cells, b * n_states + states, ends - starts)
             return
         t0 = np.maximum(starts, cfg.warmup)
         t1 = np.minimum(ends, cfg.horizon)
         keep = t1 > t0
-        b0, b1 = (np.minimum(((x - cfg.warmup) / batch_len).astype(np.intp), cfg.n_batches - 1)
+        states, t0, t1 = states[keep], t0[keep], t1[keep]
+        b0, b1 = (np.minimum(((x - cfg.warmup) / batch_len).astype(np.intp), last)
                   for x in (t0, t1))
-        cells, dt = b0 * n_states + states, t1 - t0
-        lo = 0
-        for i in [*np.flatnonzero(keep & (b0 != b1)).tolist(), len(states)]:
-            k = keep[lo:i]
-            np.add.at(occ_cells, cells[lo:i][k], dt[lo:i][k])
-            if i < len(states):  # crosses a batch boundary
-                accrue(int(states[i]), starts[i], ends[i])
-            lo = i + 1
+        span = b1 - b0 + 1  # batches each sojourn touches: one piece per batch
+        of = np.repeat(np.arange(len(span)), span)  # the sojourn of each piece
+        b = b0[of] + np.arange(len(of)) - np.repeat(np.cumsum(span) - span, span)
+        t0, t1 = t0[of], t1[of]
+        lo = cfg.warmup + b * batch_len
+        # a sojourn inside one batch adds t1 - t0; a crossing one, its overlap with each batch
+        dt = np.where(span[of] == 1, t1 - t0, np.minimum(t1, lo + batch_len) - np.maximum(t0, lo))
+        np.add.at(occ_cells, b * n_states + states[of], dt)
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     dead = total <= 0.0
@@ -192,18 +181,19 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
             ends = exp[pos:pos + n] / total[states]
             ends[0] += t
             np.cumsum(ends, out=ends)  # sequential adds: ends[i] == t + e_0/r_0 + ... + e_i/r_i
+            starts = np.concatenate(([t], ends[:-1]))
             end = int(np.searchsorted(ends, cfg.horizon))  # first sojourn reaching the horizon
             if end < n:
-                accrue_path(states[:end + 1], t, ends[:end + 1])
+                accrue(states[:end + 1], starts[:end + 1], ends[:end + 1])
                 transitions += end
                 break
-            accrue_path(states, t, ends)
+            accrue(states, starts, ends)
             transitions += n
             t = ends[-1]
         pos += _CHUNK
         if dead[state]:  # the walk stopped at a state with no way out
             stuck = state
-            accrue(state, t, cfg.horizon)
+            accrue(np.array([state]), np.array([t]), np.array([cfg.horizon]))
             break
 
     duration = cfg.horizon - cfg.warmup

@@ -64,12 +64,15 @@ def profit_grid(kind, v, alpha, r, m, capacity, mu, theta, a, b, prices, n_nodes
     width = np.maximum(b - lo, 0.0)
     mass = norm_cdf((b - mu) / theta) - norm_cdf((a - mu) / theta)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    integral = np.zeros_like(prices)
+    on = width > 0  # elsewhere no noise draw overflows and the term is exactly 0
+    lo, t, width = lo[on], t[on], width[on]
+    part = np.zeros_like(lo)
     for s, w in zip(nodes, weights):
         x = lo + 0.5 * (s + 1.0) * width
         pdf = np.exp(-0.5 * ((x - mu) / theta) ** 2) / (theta * SQRT_2PI * mass)
-        integral += w * (x - t) * pdf
-    integral *= 0.5 * width
+        part += w * (x - t) * pdf
+    integral = np.zeros_like(prices)
+    integral[on] = part * (0.5 * width)
     return (prices - r) * dem - m * integral
 
 

@@ -356,6 +356,22 @@ def test_main_static_rejects_demand_that_overflows_at_the_optimum(tmp_path, caps
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("scenario", [
+    # (v/alpha - p_bar)**3 overflows
+    {"p_bar": 1e300, "d_bar": 1e20, "mu": 1, "theta": 1e6, "r_ratio": 0.5, "kind": "linear"},
+    # p_bar**(2 - alpha) overflows at alpha = 320
+    {"p_bar": 0.1, "d_bar": 1e20, "mu": 1, "theta": 1e6, "alpha_bar": 2, "gamma": 160},
+])
+@pytest.mark.parametrize("command", ["calibrate", "static"])
+def test_main_refuses_a_surplus_that_overflows(tmp_path, capsys, scenario, command):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), command], capsys)
+    assert line == ("error: calibrated spot demand consumer_surplus overflows to inf; "
+                    "the scenario's demand scale is too large to price")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_an_iso_curve_without_surplus_is_refused_where_its_warning_says(tmp_path, capsys):
     # spot elasticity gamma * alpha_bar = 1.875 <= 2: the surplus integral diverges
     path = tmp_path / "scn.json"
@@ -431,6 +447,8 @@ def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, cha
     ({"departure": [0.0, True]}, "departure"),
     ({"capacity": 19, "price_points": 1_000_001}, "price_points 1000001"),
     ({"capacity": 1_000_001}, "capacity 1000001"),
+    ({"price_point": 50}, "unknown MDP config key 'price_point'; keys are capacity, arrival, "
+                          "departure, p_max, price_points"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
