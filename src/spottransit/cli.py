@@ -12,12 +12,18 @@ value (never null), and a key not in SCENARIO_KEYS is refused by name.
 Profit and surplus figures are in price*demand units ($/Mbps * Gbps);
 multiplying by 1000 gives $ per month under 95th-percentile billing,
 and the exported reports carry the converted columns too.
+
+Each command imports only the modules it runs, when it runs: calibrate
+loads calibration and pricing, the other scenario commands welfare too
+(and traffic for a scenario that names a trace), predict loads traffic,
+mdp loads mdp, simulate loads mdp and simulate, and report loads none.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import numbers
@@ -26,12 +32,30 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import calibration, mdp, pricing, traffic, welfare
-from .demand import demand_family
-from .simulate import SimConfig, compare_to_analytic, simulate_policy
-
 DOLLAR_NOTE = "dollars = price($/Mbps) * demand(Gbps) * 1000, monthly 95th-percentile billing"
-USD_PER_UNIT = 1000.0
+
+#: the submodules, and the names taken from one (with its submodule), that this
+#: module offers as attributes; each is imported on first access
+_LAZY_MODULES = ("calibration", "mdp", "pricing", "traffic", "welfare")
+_LAZY_NAMES = {"demand_family": "demand", "SimConfig": "simulate",
+               "compare_to_analytic": "simulate", "simulate_policy": "simulate"}
+
+
+def __getattr__(name):
+    """Import a submodule, or a name from one, on first access and keep it here.
+
+    The commands import what they run in their own bodies, because a global
+    lookup inside a function never reaches this hook; it serves readers from
+    outside, such as a test that patches ``cli.mdp``.
+    """
+    if name in _LAZY_MODULES:
+        value = importlib.import_module(f"{__package__}.{name}")
+    elif name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f"{__package__}.{_LAZY_NAMES[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 DEFAULT_BETAS = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 SWEEP_DEFAULTS = {
@@ -95,6 +119,8 @@ def _sweep_values(text: str) -> list:
 
 def load_scenario(source) -> Scenario:
     """Accept a path to a scenario JSON file or an already-parsed dict."""
+    from . import calibration
+
     obj = source
     if not isinstance(obj, dict):
         with open(source) as fh:
@@ -116,6 +142,8 @@ def load_scenario(source) -> Scenario:
     if len(demand_keys) > 1 or ixp is None and not demand_keys:
         raise ValueError("scenario needs exactly one demand-scale source (trace or d_bar)")
     if "trace" in fields:
+        from . import traffic
+
         trace = fields.pop("trace")
         series = traffic.load_series(trace)
         _, mu, theta = traffic.persistence_residuals(series)  # no Q-Q data: only the moments
@@ -131,6 +159,8 @@ def _solve_points(scn: Scenario, points) -> list:
     The points are calibrated in order, all calibrated points are priced in
     one batch solve, and each solved point gets its own welfare report.
     """
+    from . import calibration, pricing, welfare
+
     results = []
     for fields in points:
         try:
@@ -141,8 +171,10 @@ def _solve_points(scn: Scenario, points) -> list:
     scens = [results[k] for k in todo]
     sols = pricing.optimize_prices([(s.demand, s.uncertainty, s.market) for s in scens])
     for k, sol in zip(todo, sols):
+        scen = results[k]
         try:
-            results[k] = sol if isinstance(sol, Exception) else _result_row(results[k], sol)
+            results[k] = sol if isinstance(sol, Exception) else _result_row(
+                scen, sol, welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol))
         except (ValueError, RuntimeError) as exc:
             results[k] = exc
     return results
@@ -165,17 +197,16 @@ STATIC_COLUMNS = [
 ]
 
 
-def _result_row(scen: calibration.CalibratedScenario, sol: pricing.StaticSolution) -> dict:
-    """Flat result row of one solved grid point, keyed by STATIC_COLUMNS."""
-    rep = welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol)
+def _result_row(scen: calibration.CalibratedScenario, sol: pricing.StaticSolution,
+                rep: welfare.WelfareReport) -> dict:
+    """Flat result row of one solved grid point and its welfare report, keyed by STATIC_COLUMNS."""
     inp = scen.inp
     return dict(zip(STATIC_COLUMNS, (
         inp.label, inp.kind, inp.beta, inp.gamma, inp.r_ratio, inp.m_ratio, inp.p_bar, sol.p_star,
         sol.p_star / inp.p_bar, 100.0 * (1.0 - sol.p_star / inp.p_bar),
         sol.overflow_probability, sol.expected_profit,
         rep.surplus_spot, rep.surplus_regular, rep.profit_improvement_pct,
-        rep.surplus_improvement_pct, rep.profit_gain_abs * USD_PER_UNIT,
-        rep.surplus_gain_abs * USD_PER_UNIT,
+        rep.surplus_improvement_pct, rep.profit_gain_usd, rep.surplus_gain_usd,
         rep.welfare_spot, rep.welfare_regular, scen.penalty_assumption_ok, inp.demand_source,
     ), strict=True))
 
@@ -187,6 +218,8 @@ CALIBRATE_COLUMNS = [
 
 
 def cmd_calibrate(scn: Scenario):
+    from . import calibration
+
     rows = []
     for beta in scn.betas:
         scen = calibration.calibrate(replace(scn.inp, beta=beta))
@@ -237,6 +270,8 @@ WORST_CASE = {"r_ratio": 0.9, "m_ratio": 1.5, "gamma": 1.1}
 
 def cmd_worst_case(scn: Scenario):
     """High cost, high penalty, low elasticity; floor violations are findings."""
+    from .demand import demand_family
+
     rows = _all_rows(_solve_points(scn, [{"beta": beta, **WORST_CASE} for beta in scn.betas]))
     findings = []
     surplus_floor = demand_family(scn.inp.kind).worst_case_surplus_floor_pct
@@ -266,6 +301,8 @@ def _scalar_fields(record, skip=()) -> dict:
 
 
 def cmd_predict(trace_path: str, window: float):
+    from . import traffic
+
     series = traffic.load_series(trace_path)
     report = traffic.prediction_errors(series, window)
     meta = {
@@ -286,6 +323,8 @@ def cmd_predict(trace_path: str, window: float):
 
 def _solve_config(config_path: str, algorithm: str, tol: float):
     """Load an MDP config file and solve it; the step `mdp` and `simulate` share."""
+    from . import mdp
+
     with open(config_path) as fh:
         spec = mdp.MdpSpec.from_config(json.load(fh))
     solve = mdp.policy_iteration if algorithm == "pi" else mdp.relative_value_iteration
@@ -293,6 +332,8 @@ def _solve_config(config_path: str, algorithm: str, tol: float):
 
 
 def cmd_mdp(config_path: str, algorithm: str, tol: float):
+    from . import mdp
+
     spec, sol = _solve_config(config_path, algorithm, tol)
     meta = {
         "command": "mdp",
@@ -309,6 +350,9 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
 
 
 def cmd_simulate(config_path: str, horizon: float, warmup, seed: int):
+    from . import mdp
+    from .simulate import SimConfig, compare_to_analytic, simulate_policy
+
     spec, sol = _solve_config(config_path, "pi", 1e-9)
     cfg = SimConfig(spec=spec, policy=sol.policy, horizon=horizon, warmup=warmup, seed=seed)
     result = simulate_policy(cfg)

@@ -44,7 +44,8 @@ class DemandSpec(Protocol):
     maximizer ``regular_price(r_bar)`` of (p - r_bar) d(p), ``consumer_surplus(p)``,
     and ``calibrated(...)``: the curve through (p_bar, share * d_bar) with elasticity
     relative * alpha_bar at p_bar, where p_bar is the optimal price at the regular
-    cost r_bar = p_bar (1 - 1/alpha_bar).
+    cost r_bar = p_bar (1 - 1/alpha_bar); a fit that rounding moves off that anchor
+    by more than ANCHOR_RTOL relative is refused with a ValueError.
 
     A family is a frozen dataclass whose fields are its numeric parameters.  The
     batched static solve stacks many rows into one instance whose fields are arrays,
@@ -69,6 +70,13 @@ class DemandSpec(Protocol):
     @classmethod
     def calibrated(cls, p_bar: float, d_bar: float, alpha_bar: float, r_bar: float,
                    share: float, relative: float) -> DemandSpec: ...
+
+
+#: Largest relative miss of a calibrated curve's anchor d(p_bar) = share * d_bar.
+#: The linear fit misses it by about eps times the elasticity at p_bar, the digits that
+#: v - alpha p_bar cancels: ~1e-16 on ordinary scenarios (at most 4.6e-16 on the
+#: bundled sweep grids), while gamma = 1e300 at LINX cancels all of them.
+ANCHOR_RTOL = 1e-6
 
 
 def _ret(out):
@@ -252,7 +260,16 @@ class LinearDemand:
         if not p_bar > r_bar:
             raise ValueError(f"regular price {p_bar} must exceed the derived cost {r_bar}")
         alpha = share * relative * (d_bar / (p_bar - r_bar))
-        return cls(v=share * d_bar + alpha * p_bar, alpha=alpha)
+        v = share * d_bar + alpha * p_bar
+        # v - alpha p_bar cancels the leading digits of v: a curve whose d(p_bar) misses
+        # share * d_bar is rounding noise there (an infinite v is refused by its caller)
+        anchor, at_p_bar = share * d_bar, v - alpha * p_bar
+        if not abs(at_p_bar - anchor) <= ANCHOR_RTOL * anchor and math.isfinite(v):
+            raise ValueError(
+                f"calibrated linear demand gives d(p_bar) = {at_p_bar!r}, not its anchor "
+                f"{anchor!r} within {ANCHOR_RTOL:g} relative; v and alpha*p_bar cancel below "
+                "rounding at this scale")
+        return cls(v=v, alpha=alpha)
 
 
 #: The one place a demand family's ``kind`` string is resolved.

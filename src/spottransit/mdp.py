@@ -169,6 +169,12 @@ class MdpSpec:
         return self.rates.departure_rate(self.price_grid)
 
     @cached_property
+    def _uniformized_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """lam_grid / U and dlt_grid / U at U = uniformization_rate(self), for `_greedy`."""
+        u = uniformization_rate(self)
+        return self.lam_grid / u, self.dlt_grid / u
+
+    @cached_property
     def _greedy_terms(self):
         """What `_greedy` needs of the spec beyond the grids.
 
@@ -404,7 +410,8 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy price index and backed-up value per state; ties go to the lowest
-    price, and the full state is pinned to the null price.
+    price, and the full state is pinned to the null price.  u must be
+    uniformization_rate(spec), whose rate grids over U the spec keeps.
 
     Same result, bit for bit, as the argmax over the whole (K+1) x G backup
     matrix, from a few candidate prices per state.  For state n the backup
@@ -432,7 +439,7 @@ def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndar
     grid, K = spec.price_grid, spec.capacity
     G = len(grid)
     fixed, edge, step, slopes, clamped, rate_abs, degree = spec._greedy_terms
-    lam_u, dlt_u = spec.lam_grid / u, spec.dlt_grid / u
+    lam_u, dlt_u = spec._uniformized_grids
     d = _gaps(h)
     up, dn = d[1:], -d[:-1]
     a, b = up / u, dn / u  # (h_{n+1} - h_n)/U and (h_{n-1} - h_n)/U, zero past the ends

@@ -9,7 +9,8 @@ density, and the residual ~0.27% mass has to go somewhere).
 All tail quantities are closed forms in the error function, so they
 vectorize over numpy arrays as well as plain floats.  The normal CDF is the
 stdlib ``math.erfc`` applied to each element, so an array gives the same
-bits as a loop of scalar calls.
+bits as a loop of scalar calls.  The tail quantities evaluate it only on the
+thresholds strictly inside the support; at or outside it they are constants.
 """
 
 from __future__ import annotations
@@ -25,16 +26,23 @@ from .record import Record
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)  # times, not over sqrt(2): within 21 ulps of scipy's ndtr on [-8, 8]
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)  # the stdlib erfc on each element
-
 
 def _ret(out):
     return float(out) if out.ndim == 0 else out
 
 
+def _ndtr_where(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """ndtr(z) where the boolean array ``inside`` (of z's shape) holds and 0 elsewhere;
+    the stdlib erfc runs on those elements only, one Python call each."""
+    out = np.zeros(z.shape)
+    out[inside] = [0.5 * math.erfc(x) for x in np.multiply(z[inside], -_SQRT_HALF).tolist()]
+    return out
+
+
 def ndtr(z):
     """Standard normal cdf 0.5 erfc(-z sqrt(1/2)), per element, as float64."""
-    return 0.5 * np.asarray(_erfc(np.multiply(z, -_SQRT_HALF)), dtype=float)
+    z = np.asarray(z, dtype=float)
+    return _ndtr_where(z, np.ones(z.shape, dtype=bool))
 
 
 def _phi(z):
@@ -100,9 +108,10 @@ class UncertaintyModel(Record):
     def tail_probability(self, t):
         """Pr(eps > t); 1 below the support, 0 above, non-increasing in t."""
         t = np.asarray(t, dtype=float)
+        below, above = t <= self.a, t >= self.b
         z = (t - self.mu) / self.theta
-        raw = (self._cdf_zb - ndtr(z)) / self._mass
-        out = np.where(t <= self.a, 1.0, np.where(t >= self.b, 0.0, raw))
+        raw = (self._cdf_zb - _ndtr_where(z, ~(below | above))) / self._mass
+        out = np.where(below, 1.0, np.where(above, 0.0, raw))
         out = np.minimum(np.maximum(out, 0.0), 1.0)
         return _ret(out)
 
@@ -113,13 +122,14 @@ class UncertaintyModel(Record):
         zero at and above b, and equal to mean - t at and below a.
         """
         t = np.asarray(t, dtype=float)
+        below, above = t <= self.a, t >= self.b
         z = np.clip((t - self.mu) / self.theta, self._za, self._zb)
         zb = self._zb
         # E[(eps-t)+] on the interior: theta*(phi(z)-phi(zb))/mass - (t-mu)*Pr(eps>t)
-        tail = (self._cdf_zb - ndtr(z)) / self._mass
+        tail = (self._cdf_zb - _ndtr_where(z, ~(below | above))) / self._mass
         interior = self.theta * (_phi(z) - _phi(zb)) / self._mass - (t - self.mu) * tail
-        below = self.mean - t  # full support contributes
-        out = np.where(t <= self.a, below, np.where(t >= self.b, 0.0, interior))
+        # below the support the full support contributes: mean - t
+        out = np.where(below, self.mean - t, np.where(above, 0.0, interior))
         out = np.maximum(out, 0.0)
         return _ret(out)
 

@@ -10,17 +10,27 @@ the iso-elastic integral needs alpha > 2 to converge and raises
 
 Social welfare is surplus plus expected profit.  The report compares
 the spot regime at its optimal price against the regular regime at
-(p̄, r̄) and carries both relative and absolute gains.
+(p̄, r̄) and carries both relative and absolute gains, the absolute ones
+also in dollars.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .demand import DemandSpec, DivergentSurplusError  # noqa: F401  (re-exported)
 from .pricing import MarketParams, StaticSolution, expected_profit
 from .record import Record
 from .uncertainty import UncertaintyModel
+
+#: dollars per month per price*demand unit ($/Mbps * Gbps) under 95th-percentile billing
+USD_PER_UNIT = 1000.0
+
+
+def _pct_change(new: float, old: float) -> float:
+    """100 (new - old) / old, and nan where old underflowed to 0."""
+    return 100.0 * (new - old) / old if old else math.nan
 
 
 def consumer_surplus(d: DemandSpec, p: float) -> float:
@@ -50,6 +60,8 @@ class WelfareReport(Record):
     surplus_improvement_pct: float
     profit_gain_abs: float
     surplus_gain_abs: float
+    profit_gain_usd: float
+    surplus_gain_usd: float
 
 
 def welfare_report(
@@ -63,6 +75,10 @@ def welfare_report(
     the spot seller could charge p̄ and earn (p̄ - r) d(p̄) >= (p̄ - r̄) d(p̄).
     A violation means the solved price is not the optimum and is reported
     as an error; outside those conditions a lower profit is reported as is.
+
+    A field that is not finite (a figure that overflows, or a percentage of
+    a base that underflows to 0) is refused by name with a ValueError,
+    before the optimality check, which it would void.
     """
     if mp.r_bar is None or mp.p_bar is None:
         raise ValueError("welfare report needs both r_bar and p_bar")
@@ -70,6 +86,24 @@ def welfare_report(
     s_reg = consumer_surplus(d, mp.p_bar)
     pi_spot = sol.expected_profit
     pi_reg = baseline_profit(d, mp.p_bar, mp.r_bar)
+    rep = WelfareReport(
+        surplus_spot=s_spot,
+        surplus_regular=s_reg,
+        profit_spot=pi_spot,
+        profit_regular=pi_reg,
+        welfare_spot=s_spot + pi_spot,
+        welfare_regular=s_reg + pi_reg,
+        profit_improvement_pct=_pct_change(pi_spot, pi_reg),
+        surplus_improvement_pct=_pct_change(s_spot, s_reg),
+        profit_gain_abs=pi_spot - pi_reg,
+        surplus_gain_abs=s_spot - s_reg,
+        profit_gain_usd=(pi_spot - pi_reg) * USD_PER_UNIT,
+        surplus_gain_usd=(s_spot - s_reg) * USD_PER_UNIT,
+    )
+    for name, value in vars(rep).items():
+        if not math.isfinite(value):
+            raise ValueError(f"welfare report {name} is {value}; "
+                             "the scenario's figures leave the float range")
     if sol.p_star < mp.p_bar and not (
         s_spot > s_reg
         and (pi_spot > pi_reg or mp.r > mp.r_bar or mp.capacity - d.demand(mp.p_bar) < u.b)
@@ -78,15 +112,4 @@ def welfare_report(
             "spot price is below the regular price but surplus/profit did not both "
             "improve although they must; the solved price is not the optimum"
         )
-    return WelfareReport(
-        surplus_spot=s_spot,
-        surplus_regular=s_reg,
-        profit_spot=pi_spot,
-        profit_regular=pi_reg,
-        welfare_spot=s_spot + pi_spot,
-        welfare_regular=s_reg + pi_reg,
-        profit_improvement_pct=100.0 * (pi_spot - pi_reg) / pi_reg,
-        surplus_improvement_pct=100.0 * (s_spot - s_reg) / s_reg,
-        profit_gain_abs=pi_spot - pi_reg,
-        surplus_gain_abs=s_spot - s_reg,
-    )
+    return rep

@@ -16,7 +16,7 @@ from spottransit.calibration import (
     derive_spot_demand,
     ixp_input,
 )
-from spottransit.demand import IsoElasticDemand, LinearDemand
+from spottransit.demand import ANCHOR_RTOL, IsoElasticDemand, LinearDemand
 from spottransit.pricing import regular_price
 
 LONDON = CalibrationInput(p_bar=7.5, d_bar=800.0, beta=0.5, gamma=1.25, mu=-15.9278, theta=174.8157)
@@ -166,3 +166,33 @@ def test_calibrate_refuses_parameters_that_overflow(inp, kind, field):
         warnings.simplefilter("error")
         with pytest.raises(CalibrationError, match=f"calibrated {field} overflows to inf"):
             calibrate(replace(inp, kind=kind))
+
+
+def test_calibrate_refuses_a_linear_curve_that_misses_its_anchor():
+    # v ~ 4.3e302 and alpha p_bar ~ 4.3e302 cancel: d(p_bar) is rounding noise, not 216
+    with pytest.raises(ValueError, match=r"^calibrated linear demand gives d\(p_bar\) = 0\.0, "
+                       r"not its anchor 216\.0 within 1e-06 relative; v and alpha\*p_bar cancel"):
+        calibrate(ixp_input("linx", kind="linear", gamma=1e300, beta=0.2))
+
+
+def _anchor_miss(inp: CalibrationInput) -> float:
+    anchor = inp.beta * inp.d_bar
+    return abs(calibrate(inp).demand.demand(inp.p_bar) - anchor) / anchor
+
+
+def test_bundled_scenarios_meet_their_anchor_far_inside_the_tolerance():
+    from spottransit.cli import DEFAULT_BETAS, SWEEP_DEFAULTS, WORST_CASE
+
+    misses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # penalty-assumption warnings of the m_ratio sweep
+        for name in IXP_STATS:
+            for kind in ("iso", "linear"):
+                for beta in DEFAULT_BETAS:
+                    base = ixp_input(name, kind=kind, beta=beta)
+                    misses.append(_anchor_miss(replace(base, **WORST_CASE)))
+                    for param, values in SWEEP_DEFAULTS.items():
+                        for value in values:
+                            misses.append(_anchor_miss(replace(base, **{param: value})))
+    assert len(misses) == 6 * 2 * 6 * (1 + 9 + 11 + 10 + 6)
+    assert max(misses) < 1e-14 < ANCHOR_RTOL

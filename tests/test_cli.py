@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -749,3 +750,99 @@ print({SCIPY_LOADED})
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["meta"]["structure"]["price_monotone"] and len(report["rows"]) == 11
     assert json.loads((tmp_path / "s.json").read_text())["meta"]["passed"] is True
+
+
+STATIC_MODULES = {"calibration", "demand", "pricing", "record", "uncertainty", "welfare"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param(None, set(), id="import"),
+    pytest.param(["--help"], set(), id="help"),
+    pytest.param(["report", "--in", "saved.json"], set(), id="report"),
+    pytest.param(["calibrate"], STATIC_MODULES - {"welfare"}, id="calibrate"),
+    pytest.param(["static"], STATIC_MODULES, id="static"),
+    pytest.param(["sweep", "--param", "gamma"], STATIC_MODULES, id="sweep"),
+    pytest.param(["worst-case"], STATIC_MODULES, id="worst-case"),
+    pytest.param(["--scenario", "traced.json", "static"], STATIC_MODULES | {"traffic", "statistics"},
+                 id="static-on-a-trace"),
+    pytest.param(["predict", "--trace", "trace.csv"], {"record", "traffic", "statistics"},
+                 id="predict"),
+    pytest.param(["mdp", "--config", "mdp.json"], {"mdp"}, id="mdp"),
+    pytest.param(["simulate", "--config", "mdp.json", "--horizon", "5000", "--seed", "42"],
+                 {"mdp", "record", "simulate"}, id="simulate"),
+])
+def test_import_and_each_command_load_only_their_modules(tmp_path, argv, loaded):
+    (tmp_path / "scn.json").write_text(json.dumps(LINX_SCENARIO))
+    (tmp_path / "traced.json").write_text(json.dumps({"region": "london",
+                                                      "trace": _noisy_trace(tmp_path)}))
+    (tmp_path / "saved.json").write_text(json.dumps({"meta": {}, "rows": [{"a": 1}]}))
+    _mdp_config(tmp_path)
+    # argparse keeps the last --scenario, so the traced run replaces the default scenario
+    full_argv = None if argv is None else ["--out", "r", "--scenario", "scn.json", *argv]
+    run = _run_python(["-c", f"""
+import contextlib, io, sys
+import spottransit, spottransit.cli
+if {full_argv!r} is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            assert spottransit.cli.main({full_argv!r}) == 0
+        except SystemExit as exc:  # --help
+            assert exc.code == 0
+print(sorted(m.split(".", 1)[-1] for m in sys.modules
+             if m.startswith("spottransit.") or m == "statistics"))
+"""], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(sorted({"cli"} | loaded))
+
+
+def test_package_and_cli_names_resolve_on_first_access():
+    import spottransit
+    from spottransit import mdp, simulate
+
+    assert len(spottransit.__all__) == len(set(spottransit.__all__)) == 51
+    for name in spottransit.__all__:
+        value = getattr(spottransit, name)
+        module = importlib.import_module(f"spottransit.{spottransit._MODULE_OF[name]}")
+        assert value is getattr(module, name)
+    assert spottransit.__version__ == "0.1.0"
+    assert cli.mdp is mdp and cli.simulate_policy is simulate.simulate_policy
+    for owner in (spottransit, cli):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            owner.no_such_name  # noqa: B018
+
+
+def _strict_json(text: str):
+    """Parse a report, refusing the Infinity and NaN that strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("scenario,field,value", [
+    # the surplus at p* overflows, though the one at p_bar does not
+    ({"p_bar": 2.0022527206143902e+35, "d_bar": 2.0767721272113818e+241, "mu": 1,
+      "theta": 751818.8, "r_ratio": 0.9, "gamma": 19.76, "alpha_bar": 4.397, "kind": "linear",
+      "beta": 0.3}, "surplus_spot", "inf"),
+    # every welfare figure is finite, but the surplus gain in dollars (x1000) overflows
+    ({"p_bar": 5.34e101, "d_bar": 1.217e107, "mu": 1, "theta": 1000, "r_ratio": 0.9,
+      "gamma": 42.65, "alpha_bar": 4.629, "kind": "linear", "beta": 0.3},
+     "surplus_gain_usd", "inf"),
+    # the regular profit underflows to 0, so its percentage change is undefined
+    ({"p_bar": 1e-200, "d_bar": 1e-200, "mu": 0, "theta": 1e-230, "gamma": 1.25,
+      "kind": "linear", "beta": 0.5}, "profit_improvement_pct", "nan"),
+])
+def test_main_refuses_welfare_figures_out_of_float_range(tmp_path, capsys, scenario, field, value):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    message = f"welfare report {field} is {value}; the scenario's figures leave the float range"
+    line = _run_error(["--scenario", str(path), "--out", str(tmp_path / "r"), "static"], capsys)
+    assert line == f"error: {message}"
+    assert not (tmp_path / "r.json").exists()
+    # sweep reports the same point as an error row, and its default grid parses as strict JSON
+    argv = ["--scenario", str(path), "--out", str(tmp_path / "s"), "sweep", "--param", "gamma"]
+    assert main(argv + ["--values", str(scenario["gamma"])]) == 0
+    rows = _strict_json((tmp_path / "s.json").read_text())["rows"]
+    assert [row["error"] for row in rows] == [message]
+    assert main(argv) == 0
+    _strict_json((tmp_path / "s.json").read_text())

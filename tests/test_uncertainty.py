@@ -5,7 +5,7 @@ import pytest
 
 from oracles import norm_cdf, quad_overshoot, quad_tail, trunc_pdf
 from spottransit.pricing import _stack
-from spottransit.uncertainty import UncertaintyModel, ndtr, uncertainty_from_dict
+from spottransit.uncertainty import UncertaintyModel, _phi, ndtr, uncertainty_from_dict
 
 STD = UncertaintyModel(mu=0.0, theta=1.0)  # default support [-3, 3]
 
@@ -188,3 +188,44 @@ def test_stacked_model_gives_each_rows_tails_bit_for_bit():
             u.tail_probability(x) for u, x in zip(models, t.tolist())]
         assert stacked.partial_overshoot(t).tolist() == [
             u.partial_overshoot(x) for u, x in zip(models, t.tolist())]
+
+
+def _full_cdf_tails(u, t):
+    """Pr(eps > t) and E[(eps - t)+] with the cdf evaluated on every element."""
+    t = np.asarray(t, dtype=float)
+    raw = (u._cdf_zb - ndtr((t - u.mu) / u.theta)) / u._mass
+    tail = np.where(t <= u.a, 1.0, np.where(t >= u.b, 0.0, raw))
+    z = np.clip((t - u.mu) / u.theta, u._za, u._zb)
+    inner = (u.theta * (_phi(z) - _phi(u._zb)) / u._mass
+             - (t - u.mu) * ((u._cdf_zb - ndtr(z)) / u._mass))
+    over = np.where(t <= u.a, u.mean - t, np.where(t >= u.b, 0.0, inner))
+    return np.minimum(np.maximum(tail, 0.0), 1.0), np.maximum(over, 0.0)
+
+
+def test_tails_take_the_cdf_of_interior_thresholds_only(monkeypatch):
+    rng = np.random.default_rng(61)
+    models = [UncertaintyModel(rng.uniform(-20, 20), rng.uniform(0.1, 50)) for _ in range(40)]
+    models += [UncertaintyModel(1.0, 2.0, a=-3.0, b=8.0), STD]
+    (stacked,) = _stack([(u,) for u in models], range(len(models)))
+    fields = np.array([[u.mu, u.theta, u.a, u.b] for u in models]).T
+    cases = [(stacked, t) for t in
+             [fields[0] + fields[1] * rng.uniform(-4.5, 4.5, (3, len(models))),  # (3, R)
+              fields[2], fields[3], np.where(rng.random(len(models)) < 0.5, fields[2], fields[3])]]
+    for u in models[-3:]:
+        cases += [(u, t) for t in [u.a, u.b, u.a - 1.0, u.b + 1.0, 0.5 * (u.a + u.b),
+                                   u.mu + u.theta * rng.uniform(-4.5, 4.5, 500)]]
+
+    erfc, seen = math.erfc, []
+    for u, t in cases:
+        tail, over = _full_cdf_tails(u, t)
+        inside = int(np.sum((t > u.a) & (t < u.b)))
+        with monkeypatch.context() as patch:  # count the erfc calls
+            patch.setattr(math, "erfc", lambda x: seen.append(x) or erfc(x))
+            seen.clear()
+            got = u.tail_probability(t)
+            assert np.asarray(got).tobytes() == tail.tobytes() and len(seen) == inside
+            seen.clear()
+            got = u.partial_overshoot(t)
+            assert np.asarray(got).tobytes() == over.tobytes() and len(seen) == inside
+        if np.ndim(t) == 0:
+            assert isinstance(u.tail_probability(t), float)
