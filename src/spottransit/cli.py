@@ -343,6 +343,8 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
         "j_star": sol.j_star,
         "iterations": sol.iterations,
         "structure": asdict(mdp.verify_structure(sol)),
+        # the structure checks can fail on optima when departures do not vanish at price 0
+        "departures_vanish_at_price_0": bool(spec.rates.departure_rate(0.0) == 0.0),
     }
     rows = [{"state": n, "price": p, "h": h}
             for n, (p, h) in enumerate(zip(sol.policy.prices.tolist(), sol.h.tolist()))]
@@ -350,7 +352,6 @@ def cmd_mdp(config_path: str, algorithm: str, tol: float):
 
 
 def cmd_simulate(config_path: str, horizon: float, warmup, seed: int):
-    from . import mdp
     from .simulate import SimConfig, compare_to_analytic, simulate_policy
 
     spec, sol = _solve_config(config_path, "pi", 1e-9)
@@ -367,9 +368,9 @@ def cmd_simulate(config_path: str, horizon: float, warmup, seed: int):
         # the policy's analytic revenue rate is j_star above
         **_scalar_fields(report, skip=("analytic_revenue",)),
     }
-    rows = [{"state": n, "occupancy": float(o), "steady_state": float(p)}
-            for n, (o, p) in enumerate(zip(result.occupancy,
-                                           mdp.steady_state(spec, sol.policy)))]
+    rows = [{"state": n, "occupancy": o, "steady_state": p}
+            for n, (o, p) in enumerate(zip(result.occupancy.tolist(),
+                                           report.analytic_occupancy.tolist()))]
     return meta, rows, ["state", "occupancy", "steady_state"]
 
 

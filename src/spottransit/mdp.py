@@ -116,6 +116,9 @@ class MdpSpec:
             raise ValueError("price grid must be finite and strictly increasing")
         if not (abs(g[0]) <= 1e-12 and abs(g[-1] - self.rates.p_max) <= 1e-9):
             raise ValueError("price grid must span [0, p_max] inclusive")
+        if not math.isfinite(self.capacity * float(g[-1])):
+            raise ValueError(f"the full state's revenue rate capacity x p_max overflows: "
+                             f"{self.capacity} x {g[-1]:g}")
         lam, dlt = self.lam_grid, self.dlt_grid
         if not np.all(np.isfinite([lam, dlt])):
             raise ValueError("arrival and departure rates must be finite on the price grid")
@@ -126,6 +129,8 @@ class MdpSpec:
             raise ValueError("arrival rate must be non-increasing in price")
         if np.any(np.diff(dlt) < -slack):
             raise ValueError("departure rate must be non-decreasing in price")
+        if dlt[0] < 0.0:
+            raise ValueError(f"departure rate at price 0 must be at least 0, got {dlt[0]}")
         if np.any(dlt[g > 0] <= 0.0):
             raise ValueError("departure rate must be positive at positive prices")
 
@@ -160,13 +165,16 @@ class MdpSpec:
         grid = np.linspace(0.0, rates.p_max, int(cfg["price_points"]))
         return cls(capacity=int(cfg["capacity"]), price_grid=grid, rates=rates)
 
+    # finite coefficients can still overflow on the grid; __post_init__ refuses a non-finite rate
     @cached_property
     def lam_grid(self) -> np.ndarray:
-        return self.rates.arrival_rate(self.price_grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.rates.arrival_rate(self.price_grid)
 
     @cached_property
     def dlt_grid(self) -> np.ndarray:
-        return self.rates.departure_rate(self.price_grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.rates.departure_rate(self.price_grid)
 
     @cached_property
     def _uniformized_grids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +305,15 @@ def steady_state(spec: MdpSpec, policy: Policy) -> np.ndarray:
     return _stationary_law(*policy_rates(spec, policy))[0]
 
 
+def revenue_rate(pi: np.ndarray, prices: np.ndarray) -> float:
+    """Long-run revenue per unit time of the chain with stationary law pi posting
+    prices[n] at state n: sum_n pi_n * n * p_n."""
+    return float(np.sum(pi * np.arange(len(pi)) * prices))
+
+
 def average_revenue(spec: MdpSpec, policy: Policy) -> float:
-    """Long-run revenue per unit time: sum_n pi_n * n * p_n."""
-    pi = steady_state(spec, policy)
-    return float(np.sum(pi * np.arange(spec.capacity + 1) * policy.prices))
+    """Long-run revenue per unit time of the policy's chain (see `revenue_rate`)."""
+    return revenue_rate(steady_state(spec, policy), policy.prices)
 
 
 def _backup(rev, h_n, up, dn, lam_u, dlt_u, out=None) -> np.ndarray:
@@ -520,7 +533,7 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
     pi, n_hi = _stationary_law(lam, dlt)
     if np.any(dlt[n_hi + 1 :] <= 0.0):
         raise RuntimeError("policy has two closed classes; its average reward is not unique")
-    j = float(np.sum(pi * states * prices))  # as average_revenue computes it
+    j = revenue_rate(pi, prices)
     b = states * prices - j
     lam, dlt = lam / u, dlt / u
 
@@ -636,20 +649,25 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
     u = uniformization_rate(spec)
     K = spec.capacity
     h = np.zeros(K + 1)
-    for it in range(1, max_iter + 1):
-        idx, w = _greedy(spec, h, u)
-        diff = w - h
-        lo, hi = float(diff.min()), float(diff.max())
-        j = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(j)):
-            h = w - w[K]
-            break
-        h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])  # keep h_K = 0
-        _sweep_policy(spec, idx, h, u)
-    else:
-        raise RuntimeError(
-            f"relative value iteration did not reach span {tol} in {max_iter} greedy steps"
-        )
+    # values past the float range turn the span non-finite, which is refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            idx, w = _greedy(spec, h, u)
+            diff = w - h
+            lo, hi = float(diff.min()), float(diff.max())
+            if not math.isfinite(hi - lo):
+                raise RuntimeError(f"relative value iteration overflowed at greedy step {it}: "
+                                   "the model's values exceed the float range")
+            j = 0.5 * (lo + hi)
+            if hi - lo <= tol * max(1.0, abs(j)):
+                h = w - w[K]
+                break
+            h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])  # keep h_K = 0
+            _sweep_policy(spec, idx, h, u)
+        else:
+            raise RuntimeError(
+                f"relative value iteration did not reach span {tol} in {max_iter} greedy steps"
+            )
 
     idx, _ = _greedy(spec, h, u)
     return DpSolution(

@@ -12,11 +12,16 @@ total-variation distance on occupancy) validates both codes against
 each other since they share nothing but those rates.
 
 The chain is stepped in blocks of draws rather than one event at a time.
-A plain Python loop over one chunk of uniforms takes two transitions per
-pass and keeps only the even-numbered states; it walks successor lists
-in which a state with no way out (total rate 0) is its own successor,
-so the loop needs no test for such a state.  numpy then recovers the
-odd-numbered states from the even ones with the same comparisons, cuts
+Its walk uses successor arrays in which a state with no way out (total
+rate 0) is its own successor, so the walk needs no test for such a state.
+Driven by shared draws, walks from two starts of one parity stay
+ordered and, once they meet, never part, as in coupling from the past
+(Propp and Wilson 1996).  So each chunk of draws is cut into lanes,
+which numpy steps side by side from a guessed start, the chunk's start
+state; one repair round steps again each lane whose start is not the
+previous lane's end, until it meets its stored path.  A lane still apart
+at its end sends the rest of the chunk to a plain one-draw-per-pass
+loop, and the next few chunks too (see `_Chain.walk`).  numpy then cuts
 the path at its first state with no way out, turns the matching
 exponentials into sojourn ends with one sequential cumulative sum from
 the current time, and finds the first end at the horizon.  One function
@@ -34,12 +39,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, Policy, average_revenue, policy_rates, steady_state
+from .mdp import MdpSpec, Policy, policy_rates, revenue_rate, steady_state
 from .record import Record
 
 # Philox draws come in blocks of _BLOCK exponentials, then _BLOCK uniforms.  The
@@ -47,12 +51,15 @@ from .record import Record
 # standard_exponential draws the values exponential(scale=1) would, at the same
 # stream position, through numpy's faster fill kernel.
 _BLOCK = 1 << 16
-# Draws stepped per numpy pass.  It bounds the scratch arrays; results do not depend on it.
-# It must be even, since each pass of the Python loop takes two draws, and divide _BLOCK.
-_CHUNK = 1 << 12
-# The chunk's even-numbered states as native Py_ssize_t, numpy's intp: packing the
-# list this way takes about a third of the time of np.array(list).
-_PACK_EVENS = struct.Struct(f"{_CHUNK // 2}n")
+# Draws walked per pass of the lockstep walk.  It bounds the scratch arrays; results do
+# not depend on it.  It must divide _BLOCK.
+_CHUNK = 1 << 13
+# Draws per lane: each chunk is cut into _CHUNK // _LANE lanes stepped side by side.
+# It must divide _CHUNK, and is even so that a lane's guessed start, the chunk's start
+# state, has the parity of its true start.  Results do not depend on it.
+_LANE = 16
+# Most chunks walked plainly after a chunk whose lanes stayed apart (see _Chain.walk).
+_MAX_WAIT = 8
 # Most transitions a run may expect.  The horizon times the largest total rate
 # bounds the expected count, and a run past this would not end in useful time.
 MAX_EXPECTED_TRANSITIONS = 1e9
@@ -91,6 +98,9 @@ class SimConfig:
             raise ValueError(f"start state {self.start_state} outside 0..{self.spec.capacity}")
         if self.n_batches < 2:
             raise ValueError("batch-means stderr needs at least 2 batches")
+        if not (self.horizon - self.warmup) / self.n_batches > 0:  # underflows to 0 near 5e-324
+            raise ValueError(f"horizon - warmup = {self.horizon - self.warmup:g} is too short to "
+                             f"split into {self.n_batches} batches")
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,77 @@ class SimResult(Record):
     occupancy_stderr: np.ndarray
     transitions: int
     stuck_state: int | None = None
+
+
+class _Chain:
+    """The walk's transition rule, from state s under draw u: to step_up[s] if
+    u < p_up[s], else to step_dn[s]."""
+
+    def __init__(self, p_up: np.ndarray, step_up: np.ndarray, step_dn: np.ndarray):
+        self.p_up, self.step_up, self.step_dn = p_up, step_up, step_dn
+        self.lists = p_up.tolist(), step_up.tolist(), step_dn.tolist()
+        self.backoff = 0  # chunks walked plainly after the last fallback
+        self.wait = 0  # chunks left to walk plainly before lanes are tried again
+
+    def step(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Each state's successor under its draw."""
+        return np.where(draws < self.p_up[states], self.step_up[states], self.step_dn[states])
+
+    def plain(self, draws: np.ndarray, state: int, path: np.ndarray) -> int:
+        """Walk one draw per pass, writing the state before each draw into `path`."""
+        up, nu, nd = self.lists
+        states = []
+        for u in memoryview(draws):  # floats made one at a time cost less than draws.tolist()
+            states.append(state)
+            state = nu[state] if u < up[state] else nd[state]
+        path[:] = states
+        return state
+
+    def walk(self, draws: np.ndarray, state: int, path: np.ndarray) -> int:
+        """Walk from `state` through the _CHUNK `draws`, writing the state before each
+        draw into `path`; return the state after the last draw.
+
+        Every lane is stepped at once from a guess, the chunk's start state.  Each
+        lane whose start is not the previous lane's end is stepped again from that
+        end, until it meets its stored path: from the draw where the two states are
+        equal, they share every later draw and so every later state.  If a lane is
+        still apart at its end after this one repair round, the lanes after it may
+        start wrong, and a plain loop walks the rest of the chunk from its end.  Such
+        a fallback wastes the lockstep work, so the next chunks are walked plainly
+        too: 1 after the first fallback in a row, then 3, 7 and at most _MAX_WAIT.
+        """
+        if self.wait:
+            self.wait -= 1
+            return self.plain(draws, state, path)
+        lanes = path.reshape(-1, _LANE)  # view: lane j holds the states before draws j*_LANE...
+        lane_draws = draws.reshape(-1, _LANE)
+        lanes[:, 0] = state  # every lane's guess
+        cur = lanes[:, 0]
+        for i in range(1, _LANE):
+            cur = lanes[:, i] = self.step(cur, lane_draws[:, i - 1])
+        ends = self.step(cur, lane_draws[:, -1])
+        bad = np.flatnonzero(lanes[1:, 0] != ends[:-1]) + 1
+        if len(bad):
+            cur = lanes[bad, 0] = ends[bad - 1]
+            bad_draws = lane_draws[bad]
+            for i in range(1, _LANE + 1):
+                cur = self.step(cur, bad_draws[:, i - 1])
+                if i < _LANE:
+                    old = lanes[bad, i]
+                    lanes[bad, i] = cur
+                else:
+                    old = ends[bad]
+                    ends[bad] = cur
+                if np.array_equal(cur, old):
+                    break  # every repaired lane has met its stored path
+            else:
+                apart = np.flatnonzero(lanes[1:, 0] != ends[:-1])
+                if len(apart):
+                    self.backoff = self.wait = min(2 * self.backoff + 1, _MAX_WAIT)
+                    first = (apart[0] + 1) * _LANE
+                    return self.plain(draws[first:], int(ends[apart[0]]), path[first:])
+        self.backoff = 0
+        return int(ends[-1])
 
 
 def simulate_policy(cfg: SimConfig) -> SimResult:
@@ -150,9 +231,7 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
     # successors of each state; a state with no way out is its own, so a walk that
     # reaches one ends its chunk there
     index = np.arange(n_states)
-    step_up = np.where(dead, index, index + 1)
-    step_dn = np.where(dead, index, index - 1)
-    up, nu, nd = p_up.tolist(), step_up.tolist(), step_dn.tolist()
+    chain = _Chain(p_up, np.where(dead, index, index + 1), np.where(dead, index, index - 1))
     walk = np.empty(_CHUNK, dtype=np.intp)
     t = 0.0
     state = cfg.start_state
@@ -164,16 +243,7 @@ def simulate_policy(cfg: SimConfig) -> SimResult:
             exp = rng.standard_exponential(size=_BLOCK)
             uni = rng.random(size=_BLOCK)
             pos = 0
-        chunk = uni[pos:pos + _CHUNK]
-        evens = []
-        it = iter(memoryview(chunk))  # floats made one at a time cost less than chunk.tolist()
-        for u0, u1 in zip(it, it):  # two transitions per pass; numpy recovers the odd states
-            evens.append(state)
-            state = nu[state] if u0 < up[state] else nd[state]
-            state = nu[state] if u1 < up[state] else nd[state]
-        walk[0::2] = np.frombuffer(_PACK_EVENS.pack(*evens), dtype=np.intp)
-        even = walk[0::2]
-        walk[1::2] = np.where(chunk[0::2] < p_up[even], step_up[even], step_dn[even])
+        state = chain.walk(uni[pos:pos + _CHUNK], state, walk)
         stop = np.flatnonzero(dead[walk])  # the path ends at its first state with no way out
         n = int(stop[0]) if len(stop) else _CHUNK
         if n:
@@ -217,6 +287,7 @@ class ComparisonReport(Record):
     occupancy_z: np.ndarray
     tv_distance: float
     analytic_revenue: float
+    analytic_occupancy: np.ndarray
     passed: bool
 
 
@@ -230,7 +301,7 @@ def compare_to_analytic(result: SimResult, spec: MdpSpec, policy: Policy) -> Com
     """Score the simulation against the product-form chain; pass needs
     |revenue z| <= 3 and occupancy TV distance <= 0.02."""
     pi = steady_state(spec, policy)
-    j = average_revenue(spec, policy)
+    j = revenue_rate(pi, policy.prices)
     rev_z = _z(result.revenue_rate_estimate - j, result.revenue_rate_stderr)
     occ_z = np.array(
         [_z(o - p, s) for o, p, s in zip(result.occupancy, pi, result.occupancy_stderr)]
@@ -241,5 +312,6 @@ def compare_to_analytic(result: SimResult, spec: MdpSpec, policy: Policy) -> Com
         occupancy_z=occ_z,
         tv_distance=tv,
         analytic_revenue=j,
+        analytic_occupancy=pi,
         passed=bool(abs(rev_z) <= 3.0 and tv <= 0.02),
     )

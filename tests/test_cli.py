@@ -283,6 +283,41 @@ def test_main_mdp_and_simulate(tmp_path):
     assert abs(sim["meta"]["revenue_z"]) <= 3.0
 
 
+@pytest.mark.parametrize("model,vanish,concave", [
+    # a departure rate that price cannot change: every state below K posts price 0
+    pytest.param({"capacity": 2, "arrival": [1, -1], "departure": [1], "p_max": 1,
+                  "price_points": 11}, False, False, id="constant-departure"),
+    pytest.param({"capacity": 10, "arrival": [24.0, 0.0, -1.5], "departure": [0.0, 0.3],
+                  "p_max": 4.0, "price_points": 200}, True, True, id="0.3p"),
+])
+def test_mdp_report_says_whether_departures_vanish_at_price_0(tmp_path, model, vanish, concave):
+    cfg = tmp_path / "mdp.json"
+    cfg.write_text(json.dumps(model))
+    assert main(["--out", str(tmp_path / "r"), "mdp", "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "r.json").read_text())["meta"]
+    keys = list(meta)
+    assert keys[keys.index("structure") + 1] == "departures_vanish_at_price_0"
+    assert meta["departures_vanish_at_price_0"] is vanish
+    assert meta["structure"]["h_concave"] is concave
+
+
+def test_simulate_rows_hold_the_analytic_occupancy(tmp_path, monkeypatch):
+    # the stationary law is computed once, by compare_to_analytic, and the rows read it there
+    from spottransit import mdp, simulate
+
+    calls = []
+    law = mdp.steady_state
+    counted = lambda *a: calls.append(a) or law(*a)  # noqa: E731
+    for module in (mdp, simulate):
+        monkeypatch.setattr(module, "steady_state", counted)
+    meta, rows, _ = cmd_simulate(_mdp_config(tmp_path), 5000.0, None, 42)
+    assert len(calls) == 1
+    spec = MdpSpec.from_config(MDP_CONFIG)
+    pi = law(spec, policy_iteration(spec).policy)
+    assert [r["steady_state"] for r in rows] == pi.tolist()
+    assert all(type(r["occupancy"]) is type(r["steady_state"]) is float for r in rows)
+
+
 def test_golden_static_run(golden=None):
     import pathlib
 
@@ -450,6 +485,15 @@ def test_main_rejects_bad_scenario_values_at_load(tmp_path, capsys, command, cha
     ({"capacity": 1_000_001}, "capacity 1000001"),
     ({"price_point": 50}, "unknown MDP config key 'price_point'; keys are capacity, arrival, "
                           "departure, p_max, price_points"),
+    # found by the CLI fuzz test: finite coefficients whose rates overflow on the grid
+    # printed numpy's overflow warnings before the error
+    ({"capacity": 1, "departure": [1e308, 1e308, 4.5]}, "rates must be finite on the price grid"),
+    # found by the CLI fuzz test: K p_max = inf made RVI fail with an IndexError traceback
+    ({"p_max": 1e308, "arrival": [24.0, -24.0], "price_points": 24},
+     "the full state's revenue rate capacity x p_max overflows: 10 x 1e+308"),
+    # a negative rate at price 0 made PI blame a singular system and RVI post the price 0
+    ({"capacity": 2, "arrival": [1, -0.25], "departure": [-1, 2], "price_points": 2},
+     "departure rate at price 0 must be at least 0, got -1.0"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
@@ -461,6 +505,18 @@ def test_main_mdp_config_checks(tmp_path, capsys, change, needle):
     path.write_text(json.dumps(cfg))
     line = _run_error(["--out", str(tmp_path / "r"), "mdp", "--config", str(path)], capsys)
     assert needle in line
+
+
+@pytest.mark.filterwarnings("error")  # in a shell, numpy's overflow warnings came first
+def test_main_rvi_refuses_values_past_the_float_range(tmp_path, capsys):
+    # K p_max = 1e308 is finite, but the values of h are not: RVI's greedy step picked the
+    # index past the grid and failed with an IndexError traceback
+    cfg = tmp_path / "mdp.json"
+    cfg.write_text(json.dumps({"capacity": 10, "arrival": [24.0, -24.0], "departure": [0.0, 0.3],
+                               "p_max": 1e307, "price_points": 24}))
+    argv = ["--out", str(tmp_path / "r"), "mdp", "--config", str(cfg), "--algorithm", "rvi"]
+    assert _run_error(argv, capsys) == ("error: relative value iteration overflowed at greedy "
+                                        "step 2: the model's values exceed the float range")
 
 
 @pytest.mark.parametrize("algorithm", ["pi", "rvi"])
@@ -493,6 +549,16 @@ def test_main_simulate_rejects_non_finite_horizon(tmp_path, capsys, horizon, war
             "--horizon", horizon, "--seed", "1"]
     line = _run_error(argv + (["--warmup", warmup] if warmup else []), capsys)
     assert "finite" in line
+
+
+@pytest.mark.filterwarnings("error")  # in a shell, numpy's warning was a second stderr line
+def test_main_simulate_refuses_a_horizon_too_short_to_batch(tmp_path, capsys):
+    # found by the CLI fuzz test: 5e-324 / 20 batches underflows to a batch length of 0,
+    # and the walk then divided by it
+    argv = ["--out", str(tmp_path / "r"), "simulate", "--config", _mdp_config(tmp_path),
+            "--horizon", "5e-324", "--seed", "1"]
+    assert _run_error(argv, capsys) == ("error: horizon - warmup = 4.94066e-324 is too short "
+                                        "to split into 20 batches")
 
 
 def test_main_simulate_admits_nothing_at_the_full_state(tmp_path):

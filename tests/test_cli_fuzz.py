@@ -1,0 +1,99 @@
+"""Fuzz the `mdp` and `simulate` commands in-process: any config file and any
+--horizon/--warmup/--seed value that argparse takes must end in a report
+(exit 0) or in exactly one `error:` line (exit 2), never a traceback.
+
+Valid sizes stay small (capacity <= 12, price_points <= 24, horizons up to
+50 against rates of at most a few hundred), so every example ends well
+under a second.  Rates of 1e200 and more are refused before any walk by
+the transition limit, and non-finite ones by the spec.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spottransit.cli import main
+
+EDGE_NUMBERS = [0, 1, -1, 0.5, -1.5, 2, 24, 1e-300, 5e-324, -5e-324, 1e200, -1e200, 1e308,
+                -1e308, math.inf, -math.inf, math.nan]
+WRONG_TYPES = [None, True, False, "4", "", [], {}, [[1.0]], {"a": 1}, [None], ["1"]]
+edge = st.sampled_from(EDGE_NUMBERS)
+wrong = st.sampled_from(WRONG_TYPES)
+coeffs = st.lists(st.one_of(edge, st.floats(-30, 30), wrong), min_size=0, max_size=4)
+
+
+@st.composite
+def valid_models(draw):
+    """A model the spec accepts: arrivals a (1 - (p/p_max)^k), departures c + d p^j."""
+    p_max = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    a, k = draw(st.sampled_from([0.0, 1.0, 24.0])), draw(st.integers(1, 3))
+    arrival = [a] + [0.0] * (k - 1) + [-a / p_max**k]
+    c, d = draw(st.sampled_from([0.0, 0.0, 1.0])), draw(st.sampled_from([0.3, 3.0]))
+    departure = [c] + [0.0] * (draw(st.integers(1, 3)) - 1) + [d]
+    return {"capacity": draw(st.integers(1, 12)), "arrival": arrival, "departure": departure,
+            "p_max": p_max, "price_points": draw(st.integers(2, 24))}
+
+
+@st.composite
+def configs(draw):
+    """A valid model with some keys changed, dropped or added, or a value of another type."""
+    cfg = draw(valid_models())
+    for key in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=3, unique=True)):
+        if key in ("arrival", "departure"):
+            cfg[key] = draw(st.one_of(coeffs, edge, wrong))
+        elif key == "capacity":
+            cfg[key] = draw(st.one_of(edge, wrong, st.sampled_from([0, -3, 2.5, 1_000_001, 1e7])))
+        elif key == "price_points":
+            cfg[key] = draw(st.one_of(edge, wrong, st.sampled_from([1, 2, 2.5, 1_000_001])))
+        else:
+            cfg[key] = draw(st.one_of(edge, wrong, st.floats(-10, 10)))
+    for key in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=1)):
+        del cfg[key]
+    if draw(st.booleans()) and draw(st.booleans()):
+        unknown = draw(st.sampled_from(["Capacity", "price_point", "seed", ""]))
+        cfg[unknown] = draw(st.one_of(edge, wrong))
+    # mostly the object; sometimes a file that holds no object at all
+    return draw(st.one_of(st.just(cfg), st.just(cfg), st.just(cfg), wrong, edge))
+
+
+# mostly a horizon the walk runs, and the default warmup
+horizons = st.one_of(st.floats(1e-3, 50), st.floats(1e-3, 50), edge, st.floats(-1e3, 0))
+warmups = st.one_of(st.none(), st.none(), st.floats(0, 50), edge)
+
+
+def _float_arg(x) -> str:
+    return repr(float(x))  # 'inf', 'nan' and '1e+200' parse as argparse's float
+
+
+@pytest.mark.filterwarnings("error")  # in a shell, a warning is a second stderr line
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["mdp", "mdp-rvi", "simulate"]), cfg=configs(),
+       horizon=horizons, warmup=warmups,
+       seed=st.one_of(st.integers(-2, 3), st.sampled_from([2**63, 2**128, -(2**70)])))
+def test_mdp_and_simulate_end_in_a_report_or_one_error_line(tmp_path_factory, capsys, command, cfg,
+                                                             horizon, warmup, seed):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "cfg.json"
+    path.write_text(json.dumps(cfg))  # inf and nan are written as Infinity and NaN
+    argv = ["--out", str(work / "r"), command.split("-")[0], "--config", str(path)]
+    if command == "mdp-rvi":
+        argv += ["--algorithm", "rvi"]
+    if command == "simulate":
+        argv += [f"--seed={seed}", f"--horizon={_float_arg(horizon)}"]
+        if warmup is not None:
+            argv.append(f"--warmup={_float_arg(warmup)}")
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not (work / "r.json").exists()
+    else:
+        assert err == ""
+        assert json.loads((work / "r.json").read_text())["meta"]["command"] == command.split("-")[0]

@@ -55,6 +55,7 @@ def test_config_validation():
     ("horizon", np.bool_(True), "horizon must be a real number, got np.True_"),
     ("warmup", False, "warmup must be a real number, got False"),
     ("warmup", "1", "warmup must be a real number, got '1'"),
+    ("horizon", 5e-324, "horizon - warmup = 4.94066e-324 is too short to split into 20 batches"),
 ])
 def test_config_refuses_a_bad_seed_horizon_or_warmup(field, value, needle):
     kw = {"horizon": 10.0, "seed": 1, field: value}
@@ -244,6 +245,36 @@ def _falling_to(dead, capacity):
     return spec, Policy([0.0 if n == dead else 4.0 for n in range(capacity + 1)])
 
 
+def _bouncing():
+    """K=2: state 0 posts the null price, so nothing leaves it; state 1 steps up with
+    probability 0.9 and down into 0 otherwise; state 2 steps down."""
+    rates = RateModel.from_polynomials([4.0, -1.0], [0.0, 1.0], 4.0)
+    return MdpSpec(2, np.linspace(0.0, 4.0, 11), rates), Policy([4.0, 0.4, 4.0])
+
+
+def _stuck_on_lane_draw(start_state, lane_pos):
+    """The bouncing chain and the first seed whose walk from start_state falls into state 0,
+    past its first lane, on the draw at position lane_pos of a lane.  Until then the walk
+    is 1 or 2 by the parity of the draw, so every lane's guessed start, the chunk's start
+    state, is its true start, and the dead state is met by the lanes stepped side by side."""
+    spec, policy = _bouncing()
+    for seed in range(10_000):
+        kw = dict(horizon=1e3, seed=seed, start_state=start_state)
+        res = reference_simulate(SimConfig(spec, policy, **kw))
+        last_draw = res.transitions - 1  # the draw that brought the walk to state 0
+        lane, pos = divmod(last_draw, simulate._LANE)
+        if res.stuck_state == 0 and lane >= 1 and pos == lane_pos:
+            return spec, policy, kw
+    raise AssertionError("no seed found")
+
+
+def _symmetric(capacity):
+    # a symmetric walk that reflects at 0 and K and has no dead state: walks from two
+    # starts meet only at the ends, so the lanes' repair round rarely closes
+    rates = RateModel.from_polynomials([4.0, -1.0], [0.0, 1.0], 4.0)
+    return MdpSpec(capacity, np.linspace(0.0, 4.0, 5), rates), Policy([2.0] * capacity + [4.0])
+
+
 BIT_CASES = [
     *[pytest.param(*_optimal(d, k), dict(horizon=2_000.0, seed=31 + k), id=f"model{m}-k{k}")
       for m, d in enumerate(REFERENCE_DEPARTURES) for k in (1, 10, 100)],
@@ -264,14 +295,25 @@ BIT_CASES = [
     pytest.param(MdpSpec(3, np.linspace(0, 4, 50), RateModel.from_polynomials([0.0], [0.0, 0.3], 4.0)),
                  Policy([0.0, 0.0, 4.0, 4.0]), dict(horizon=100.0, seed=3, start_state=3),
                  id="stuck-after-two"),
-    # the walk takes two draws per pass: stuck-after-two stops on the second draw of a pair,
-    # this one on the first
+    # stuck-after-two stops on the second draw of its first lane, this one on the fifth
     pytest.param(*_falling_to(4, 9), dict(horizon=100.0, seed=4, start_state=9),
                  id="stuck-on-first-draw"),
     pytest.param(*_falling_to(4, 10), dict(horizon=100.0, seed=4, start_state=4), id="stuck-at-start"),
     # the last draw of a chunk brings the walk to the dead state
     pytest.param(*_falling_to(4, simulate._CHUNK + 4),
                  dict(horizon=1e4, seed=6, start_state=simulate._CHUNK + 4), id="stuck-at-chunk-end"),
+    # the dead state is reached by the first draw of a lane, and by the last, so that it
+    # is the next lane's true start while that lane's guess is 2
+    pytest.param(*_stuck_on_lane_draw(1, 0), id="stuck-on-first-draw-of-a-lane"),
+    pytest.param(*_stuck_on_lane_draw(2, simulate._LANE - 1), id="stuck-on-last-draw-of-a-lane"),
+    # ~100k transitions with no dead state: lanes stay apart, so chunks fall back to the
+    # plain loop, skip the lanes for a while and try them again
+    pytest.param(*_symmetric(40), dict(horizon=2.5e4, seed=21), id="symmetric-k40"),
+    pytest.param(*_symmetric(1000), dict(horizon=5e3, seed=22, start_state=500), id="symmetric-k1000"),
+    # from the empty state the walk climbs toward its mode through its first chunk, so
+    # every lane but the first starts far from its guess
+    pytest.param(*_optimal([0.0, 0.3], 1000, n_prices=200), dict(horizon=6e3, seed=23),
+                 id="climb-from-empty"),
 ]
 
 
@@ -325,6 +367,7 @@ def test_block_stepping_matches_scalar_loop_on_random_chains(cfg):
 
 def test_chunk_is_even_and_divides_the_block():
     assert simulate._CHUNK % 2 == 0 and simulate._BLOCK % simulate._CHUNK == 0
+    assert simulate._LANE % 2 == 0 and simulate._CHUNK % simulate._LANE == 0
 
 
 def test_wandering_chain_gets_stuck_partway():
@@ -345,3 +388,37 @@ def test_block_stepping_memory_is_bounded():
         tracemalloc.stop()
     assert res.transitions > 1 << 16
     assert peak < 3 * 2**20  # one RNG block is 1 MiB; stepping it whole peaks near 6 MiB
+
+
+def _plain_walks(monkeypatch) -> list:
+    """Record the number of draws of each plain-loop walk simulate_policy makes."""
+    walked, plain = [], simulate._Chain.plain
+
+    def spy(self, draws, state, path):
+        walked.append(len(draws))
+        return plain(self, draws, state, path)
+
+    monkeypatch.setattr(simulate._Chain, "plain", spy)
+    return walked
+
+
+def test_lanes_meet_in_one_repair_round_on_the_reference_chain(monkeypatch):
+    # the optimal chain drifts to its mode, so from there walks from two starts meet
+    # within a lane and no chunk falls back to the plain loop
+    spec, policy = _optimal([0.0, 0.3], 100)
+    mode = int(np.argmax(steady_state(spec, policy)))
+    walked = _plain_walks(monkeypatch)
+    res = simulate_policy(SimConfig(spec, policy, horizon=50_000.0, seed=17, start_state=mode))
+    assert res.transitions > 10 * simulate._CHUNK and walked == []
+
+
+def test_lanes_that_stay_apart_fall_back_and_back_off(monkeypatch):
+    # on the symmetric walk every lockstep chunk falls back partway; the next 1, 3, 7,
+    # then _MAX_WAIT chunks are walked plainly in full
+    walked = _plain_walks(monkeypatch)
+    waits = [1, 3, 7] + [simulate._MAX_WAIT] * 2
+    chunks = sum(waits) + len(waits)
+    res = simulate_policy(SimConfig(*_symmetric(40), horizon=7e4, seed=3))
+    assert res.transitions > chunks * simulate._CHUNK
+    full = [n == simulate._CHUNK for n in walked]
+    assert full[:chunks] == sum(([False] + [True] * w for w in waits), [])
