@@ -177,10 +177,10 @@ class MdpSpec:
             return self.rates.departure_rate(self.price_grid)
 
     @cached_property
-    def _uniformized_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """lam_grid / U and dlt_grid / U at U = uniformization_rate(self), for `_greedy`."""
+    def _uniformized(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """U = uniformization_rate(self), lam_grid / U and dlt_grid / U."""
         u = uniformization_rate(self)
-        return self.lam_grid / u, self.dlt_grid / u
+        return u, self.lam_grid / u, self.dlt_grid / u
 
     @cached_property
     def _greedy_terms(self):
@@ -346,7 +346,7 @@ def bellman_backup(spec: MdpSpec, n: int, h: np.ndarray, p: float) -> float:
     K = spec.capacity
     if not 0 <= n <= K:
         raise IndexError(f"state {n} outside 0..{K}")
-    u = uniformization_rate(spec)
+    u = spec._uniformized[0]
     lam_u, dlt_u = spec.rates.arrival_rate(p) / u, spec.rates.departure_rate(p) / u
     h = np.asarray(h, dtype=float)
     d = _gaps(h)
@@ -421,10 +421,9 @@ _FULL_ROW_CELLS = 1 << 20
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
-def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+def _greedy(spec: MdpSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy price index and backed-up value per state; ties go to the lowest
-    price, and the full state is pinned to the null price.  u must be
-    uniformization_rate(spec), whose rate grids over U the spec keeps.
+    price, and the full state is pinned to the null price.
 
     Same result, bit for bit, as the argmax over the whole (K+1) x G backup
     matrix, from a few candidate prices per state.  For state n the backup
@@ -452,7 +451,7 @@ def _greedy(spec: MdpSpec, h: np.ndarray, u: float) -> tuple[np.ndarray, np.ndar
     grid, K = spec.price_grid, spec.capacity
     G = len(grid)
     fixed, edge, step, slopes, clamped, rate_abs, degree = spec._greedy_terms
-    lam_u, dlt_u = spec._uniformized_grids
+    u, lam_u, dlt_u = spec._uniformized
     d = _gaps(h)
     up, dn = d[1:], -d[:-1]
     a, b = up / u, dn / u  # (h_{n+1} - h_n)/U and (h_{n-1} - h_n)/U, zero past the ends
@@ -511,7 +510,7 @@ def _affine_scan(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, np.ndarray]:
+def _evaluate_policy(spec: MdpSpec, idx: np.ndarray) -> tuple[float, np.ndarray]:
     """(J, h) with h_K = 0 for a fixed policy (Puterman 1994, section 8.6).
 
     J is the product-form revenue rate.  h then solves the K+1 balance
@@ -527,7 +526,7 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
     zero coefficient restarts a recurrence (transient states under a
     zero-departure floor).  h_n = -(D_n + ... + D_{K-1}).
     """
-    K = spec.capacity
+    K, u = spec.capacity, spec._uniformized[0]
     states, prices = np.arange(K + 1), spec.price_grid[idx]
     lam, dlt = _chain_rates(spec, idx)
     pi, n_hi = _stationary_law(lam, dlt)
@@ -539,7 +538,7 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
 
     m = int(np.argmax(pi))  # equation m holds only through J, to J's rounding over pi_m
     h = np.zeros(K + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         # D_0..D_{m-1} upward, then D_{K-1}..D_m downward: lam_K = 0 restarts the scan
         a = np.concatenate([dlt[:m] / lam[:m], (lam[m + 1 :] / dlt[m + 1 :])[::-1]])
         c = np.concatenate([-b[:m] / lam[:m], (b[m + 1 :] / dlt[m + 1 :])[::-1]])
@@ -547,7 +546,10 @@ def _evaluate_policy(spec: MdpSpec, idx: np.ndarray, u: float) -> tuple[float, n
         h[K - 1 :: -1] = -np.cumsum(np.concatenate([x[m:], x[:m][::-1]]))  # D_{K-1} first
         d = np.diff(h)
         resid = dlt * np.append(0.0, d) - lam * np.append(d, 0.0) - b
-    if not np.all(np.isfinite(h)) or np.abs(resid).max() > 1e-6 * max(1.0, abs(j), np.abs(h).max()):
+    r = np.abs(resid).max()
+    if not (math.isfinite(j) and np.isfinite(h).all() and math.isfinite(r)):
+        raise RuntimeError("policy evaluation overflowed: the model's values exceed the float range")
+    if r > 1e-6 * max(1.0, abs(j), np.abs(h).max()):
         raise RuntimeError("singular policy-evaluation system (degenerate rates)")
     return j, h
 
@@ -578,15 +580,14 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     _check_tol(tol)
     if not np.any(spec.lam_grid > 0):
         return _no_demand_solution(spec)
-    u = uniformization_rate(spec)
     idx = np.full(spec.capacity + 1, len(spec.price_grid) - 1)  # null price everywhere
-    j, h = _evaluate_policy(spec, idx, u)
+    j, h = _evaluate_policy(spec, idx)
     for it in range(1, max_iter + 1):
-        new_idx, best = _greedy(spec, h, u)
+        new_idx, best = _greedy(spec, h)
         if np.array_equal(new_idx, idx):
             break
         idx = new_idx
-        j, h = _evaluate_policy(spec, idx, u)
+        j, h = _evaluate_policy(spec, idx)
     else:
         raise RuntimeError(f"policy iteration did not stabilize within {max_iter} iterations")
 
@@ -603,7 +604,7 @@ def policy_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 200) -> D
     )
 
 
-def _sweep_policy(spec: MdpSpec, idx: np.ndarray, h: np.ndarray, u: float) -> None:
+def _sweep_policy(spec: MdpSpec, idx: np.ndarray, h: np.ndarray) -> None:
     """`_INNER_SWEEPS` damped sweeps of the backup under the policy idx,
     h <- (1 - D) h + D (w - w_K) with w the backup of h, updating h in place.
 
@@ -613,7 +614,7 @@ def _sweep_policy(spec: MdpSpec, idx: np.ndarray, h: np.ndarray, u: float) -> No
     departure rates are negated once instead; each product and sum is the
     one the backup at gathered gaps would round, in the same order.
     """
-    K = spec.capacity
+    K, u = spec.capacity, spec._uniformized[0]
     lam, dlt = _chain_rates(spec, idx)
     rev, lam_u, neg_dlt_u = np.arange(K + 1) * spec.price_grid[idx], lam / u, dlt / -u
     d, w = np.zeros(K + 2), np.empty(K + 1)
@@ -646,13 +647,12 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
     _check_tol(tol)
     if not np.any(spec.lam_grid > 0):
         return _no_demand_solution(spec)
-    u = uniformization_rate(spec)
     K = spec.capacity
     h = np.zeros(K + 1)
     # values past the float range turn the span non-finite, which is refused by name
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            idx, w = _greedy(spec, h, u)
+            idx, w = _greedy(spec, h)
             diff = w - h
             lo, hi = float(diff.min()), float(diff.max())
             if not math.isfinite(hi - lo):
@@ -663,13 +663,13 @@ def relative_value_iteration(spec: MdpSpec, tol: float = 1e-9, max_iter: int = 1
                 h = w - w[K]
                 break
             h = (1.0 - _DAMPING) * h + _DAMPING * (w - w[K])  # keep h_K = 0
-            _sweep_policy(spec, idx, h, u)
+            _sweep_policy(spec, idx, h)
         else:
             raise RuntimeError(
                 f"relative value iteration did not reach span {tol} in {max_iter} greedy steps"
             )
 
-    idx, _ = _greedy(spec, h, u)
+    idx, _ = _greedy(spec, h)
     return DpSolution(
         j_star=j,
         h=h,

@@ -23,7 +23,7 @@ rounding leaves the bracket a hair wider than that radius aims at.  g falls
 strictly but has kinks where C - d(p) crosses the noise support's edges; the
 search is as fast as the secant method on the smooth stretches, and the
 projection bounds it where interpolation stalls.  On the CLI's IXP tables it
-evaluates g about 16 times per table, where bisection took about 40.
+evaluates g about 16 times per table.
 The markup d/(-d') is a closed form of each demand family, so g keeps its
 sign at the bracket's upper end even where d and d' underflow there: g is at
 most -(r + m) 1e-6 at the iso-elastic bracket and r - v/alpha < 0 at the

@@ -38,7 +38,6 @@ SCENARIO_COMMANDS = [["calibrate"], ["static"], ["worst-case"]] + [
 # the five reference rate models: arrival 24 - 1.5 p^2, p_max 4, 1000 prices, K = 100
 MODELS = {"0.3p": [0, 0.3], "0.3p2": [0, 0, 0.3], "0.3p3": [0, 0, 0, 0.3],
           "1.5p2": [0, 0, 1.5], "3p2": [0, 0, 3.0]}
-TRACE_SCENARIO = {"region": "london", "trace": "trace.csv", "kind": "iso", "label": "SYNTH"}
 
 # (name, argv); a report that reads another report comes after it
 REPORTS = (
@@ -60,7 +59,7 @@ def environment() -> dict:
             "machine": platform.machine()}
 
 
-def write_trace(path: str, weeks: int = 3, seed: int = 7) -> None:
+def _write_trace(path: str, weeks: int = 3, seed: int = 7) -> None:
     """Seeded 5-minute traffic with a daily and weekly cycle and 1% of the slots missing."""
     rng = np.random.default_rng(seed)
     n = weeks * 7 * 24 * 12
@@ -81,10 +80,11 @@ def _write_inputs() -> None:
     files.update({f"mdp_{model}.json": {"capacity": 100, "arrival": [24, 0, -1.5],
                                         "departure": dep, "p_max": 4, "price_points": 1000}
                   for model, dep in MODELS.items()})
-    files["trace_scenario.json"] = TRACE_SCENARIO
+    files["trace_scenario.json"] = {"region": "london", "trace": "trace.csv", "kind": "iso",
+                                    "label": "SYNTH"}
     for name, obj in files.items():
         Path(name).write_text(json.dumps(obj))
-    write_trace("trace.csv")
+    _write_trace("trace.csv")
 
 
 def digests() -> dict:

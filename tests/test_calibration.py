@@ -42,6 +42,9 @@ def test_regular_cost():
     # perfectly elastic limit: cost approaches the price
     near = CalibrationInput(p_bar=7.5, d_bar=800.0, alpha_bar=1e12)
     assert derive_regular_cost(near) == pytest.approx(7.5, rel=1e-9)
+    # p_bar / 2 underflows to 0
+    with pytest.raises(ValueError, match="derived regular cost is non-positive"):
+        derive_regular_cost(CalibrationInput(p_bar=5e-324, d_bar=800.0))
 
 
 def test_linear_alpha_bar():

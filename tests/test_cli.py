@@ -519,6 +519,17 @@ def test_main_rvi_refuses_values_past_the_float_range(tmp_path, capsys):
                                         "step 2: the model's values exceed the float range")
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_pi_refuses_values_past_the_float_range(tmp_path, capsys):
+    # the same model: PI blamed a singular system for an h that overflows
+    cfg = tmp_path / "mdp.json"
+    cfg.write_text(json.dumps({"capacity": 10, "arrival": [24.0, -24.0], "departure": [0.0, 0.3],
+                               "p_max": 1e307, "price_points": 24}))
+    argv = ["--out", str(tmp_path / "r"), "mdp", "--config", str(cfg)]
+    assert _run_error(argv, capsys) == ("error: policy evaluation overflowed: the model's values "
+                                        "exceed the float range")
+
+
 @pytest.mark.parametrize("algorithm", ["pi", "rvi"])
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9", "-inf"])
 def test_main_mdp_rejects_a_bad_tol(tmp_path, capsys, algorithm, tol):

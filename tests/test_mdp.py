@@ -55,6 +55,10 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="non-increasing"):
         MdpSpec(100, np.linspace(0, 4, 100),
                 RateModel.from_polynomials([0.0, 4.0, -1.0], [0.0, 0.3], 4.0))
+    with pytest.raises(ValueError, match="departure rate must be non-decreasing"):
+        make_spec([1.0, -0.1])
+    with pytest.raises(ValueError, match="departure rate must be positive at positive prices"):
+        make_spec([0.0])
     with pytest.raises(ValueError, match="capacity"):
         make_spec([0.0, 0.3], capacity=0)
     with pytest.raises(ValueError, match="span"):
@@ -245,11 +249,10 @@ def reference_relative_value_iteration(spec, tol=1e-9, max_iter=200_000):
     """Relative value iteration with a full greedy step in every damped sweep."""
     if not np.any(spec.lam_grid > 0):
         return mdp._no_demand_solution(spec)
-    u = uniformization_rate(spec)
     K = spec.capacity
     h = np.zeros(K + 1)
     for it in range(1, max_iter + 1):
-        _, w = mdp._greedy(spec, h, u)
+        _, w = mdp._greedy(spec, h)
         diff = w - h
         lo, hi = float(diff.min()), float(diff.max())
         j = 0.5 * (lo + hi)
@@ -259,7 +262,7 @@ def reference_relative_value_iteration(spec, tol=1e-9, max_iter=200_000):
         h = (1.0 - mdp._DAMPING) * h + mdp._DAMPING * (w - w[K])  # keep h_K = 0
     else:
         raise RuntimeError(f"relative value iteration did not reach span {tol} in {max_iter} sweeps")
-    idx, _ = mdp._greedy(spec, h, u)
+    idx, _ = mdp._greedy(spec, h)
     return DpSolution(j_star=j, h=h, policy=Policy(spec.price_grid[idx]), iterations=it)
 
 
@@ -306,9 +309,9 @@ def reference_sweeps(spec, idx, h, u):
 _in_place_sweeps = mdp._sweep_policy  # kept for the test that wraps mdp._sweep_policy
 
 
-def _assert_sweeps_match(spec, idx, h, u):
-    ref = reference_sweeps(spec, idx, h.copy(), u)
-    _in_place_sweeps(spec, idx, h, u)
+def _assert_sweeps_match(spec, idx, h):
+    ref = reference_sweeps(spec, idx, h.copy(), uniformization_rate(spec))
+    _in_place_sweeps(spec, idx, h)
     assert h.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
 
 
@@ -330,14 +333,14 @@ def test_in_place_sweeps_equal_the_reference_sweeps(monkeypatch, spec):
     assert calls
 
     rng = np.random.default_rng(spec.capacity)
-    u, g = uniformization_rate(spec), len(spec.price_grid)
+    g = len(spec.price_grid)
     for scale in (1.0, 1e4, 1e8):
         idx = np.append(rng.integers(0, g, spec.capacity), g - 1)
-        _assert_sweeps_match(spec, idx, rng.uniform(-scale, scale, spec.capacity + 1), u)
+        _assert_sweeps_match(spec, idx, rng.uniform(-scale, scale, spec.capacity + 1))
     # a ceiling below K, and h with equal neighbours
     idx = np.full(spec.capacity + 1, g - 1)
     idx[: spec.capacity // 2] = g // 3
-    _assert_sweeps_match(spec, idx, np.round(rng.uniform(-3.0, 3.0, spec.capacity + 1)), u)
+    _assert_sweeps_match(spec, idx, np.round(rng.uniform(-3.0, 3.0, spec.capacity + 1)))
 
 
 def test_structure_checks_pass_on_reference_instance():
@@ -373,6 +376,26 @@ def test_solvers_raise_instead_of_returning_unconverged():
         policy_iteration(spec, max_iter=1)
     with pytest.raises(RuntimeError, match="relative value iteration"):
         relative_value_iteration(spec, max_iter=5)
+
+
+def test_policy_iteration_refuses_a_residual_above_tolerance():
+    # a stiff departure 0.3p + p^2 + 1e6 p^3: the stable policy's h reaches 1.3e8, so its
+    # Bellman residual 1.49e-8 passes tol 1e-6 but not 1e-9
+    spec = MdpSpec.from_config({"capacity": 50, "arrival": [24, 0, -1.5],
+                                "departure": [0, 0.3, 1, 1e6], "p_max": 4})
+    with pytest.raises(RuntimeError, match="Bellman residual 1.490e-08 above tolerance"):
+        policy_iteration(spec, tol=1e-9)
+    assert policy_iteration(spec, tol=1e-6).iterations == 14
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning on the way to the error
+def test_policy_iteration_names_an_overflow():
+    # K p_max = 1e308 is finite, but the null-price policy's h sums past the float range
+    spec = MdpSpec.from_config({"capacity": 10, "arrival": [24, -24], "departure": [0, 0.3],
+                                "p_max": 1e307, "price_points": 24})
+    with pytest.raises(RuntimeError, match="^policy evaluation overflowed: the model's values "
+                                           "exceed the float range$"):
+        policy_iteration(spec)
 
 
 def test_higher_departure_dynamics_weakly_lower_revenue():
@@ -446,9 +469,8 @@ def _dense_evaluation(spec, idx, u):
 
 
 def _assert_matches_dense(spec, idx):
-    u = uniformization_rate(spec)
-    j, h = _evaluate_policy(spec, idx, u)
-    j_ref, h_ref = _dense_evaluation(spec, idx, u)
+    j, h = _evaluate_policy(spec, idx)
+    j_ref, h_ref = _dense_evaluation(spec, idx, uniformization_rate(spec))
     assert h[-1] == 0.0
     assert j == pytest.approx(j_ref, rel=1e-10, abs=1e-10)
     np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=1e-10 * np.abs(h_ref).max())
@@ -489,16 +511,16 @@ def test_policy_evaluation_rejects_two_closed_classes():
     idx = np.full(41, 100)
     idx[10], idx[20], idx[40] = 199, 0, 199
     with pytest.raises(RuntimeError, match="closed classes"):
-        _evaluate_policy(spec, idx, uniformization_rate(spec))
+        _evaluate_policy(spec, idx)
 
 
-def _banded_evaluation(spec, idx, u):
+def _banded_evaluation(spec, idx):
     """The evaluation `_evaluate_policy` replaced, kept as a reference: the same
     J, then h with h_m = 0 pinned at the most likely state m and equation m
     dropped, from one `scipy.linalg.solve_banded` call, shifted to h_K = 0."""
     from scipy.linalg import solve_banded
 
-    K = spec.capacity
+    K, u = spec.capacity, uniformization_rate(spec)
     states, prices = np.arange(K + 1), spec.price_grid[idx]
     lam, dlt = mdp._chain_rates(spec, idx)
     pi, _ = mdp._stationary_law(lam, dlt)
@@ -579,17 +601,17 @@ def test_policy_evaluation_refuses_a_non_finite_h():
     spec = MdpSpec(3, np.array([0.0, 2e280, (1 - 1e-15) * p_max, p_max]), rates)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way to the error
-        with pytest.raises(RuntimeError, match="singular policy-evaluation system"):
-            _evaluate_policy(spec, np.array([2, 1, 2, 3]), uniformization_rate(spec))
+        with pytest.raises(RuntimeError, match="policy evaluation overflowed"):
+            _evaluate_policy(spec, np.array([2, 1, 2, 3]))
 
 
 @pytest.mark.parametrize("delta", [d for d, _ in TABLE])
 def test_policy_iteration_takes_one_greedy_step_per_iteration(monkeypatch, delta):
     calls = []
 
-    def counted(spec, h, u):
+    def counted(spec, h):
         calls.append(1)
-        return _greedy(spec, h, u)
+        return _greedy(spec, h)
 
     monkeypatch.setattr(mdp, "_greedy", counted)
     for k in (1, 10, 100):
@@ -626,16 +648,16 @@ def reference_greedy(spec, h, u):
     return idx, q[states, idx]
 
 
-def _checked_greedy(spec, h, u):
-    idx, best = _greedy(spec, h, u)
-    ref_idx, ref_best = reference_greedy(spec, h, u)
+def _checked_greedy(spec, h):
+    idx, best = _greedy(spec, h)
+    ref_idx, ref_best = reference_greedy(spec, h, uniformization_rate(spec))
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(best, ref_best)
     return idx, best
 
 
 def _assert_greedy_matches(spec, h):
-    return _checked_greedy(spec, np.asarray(h, dtype=float), uniformization_rate(spec))[0]
+    return _checked_greedy(spec, np.asarray(h, dtype=float))[0]
 
 
 @pytest.fixture
@@ -643,9 +665,9 @@ def checked_greedy(monkeypatch):
     """Compare every greedy step the solvers take with the full-matrix argmax."""
     calls = []
 
-    def checked(spec, h, u):
+    def checked(spec, h):
         calls.append(spec.capacity)
-        return _checked_greedy(spec, h, u)
+        return _checked_greedy(spec, h)
 
     monkeypatch.setattr(mdp, "_greedy", checked)
     return calls
@@ -704,11 +726,10 @@ def test_greedy_plateau_regressions():
 
 def test_greedy_step_memory_is_bounded():
     spec = make_spec([0.0, 0.3], capacity=10**4, n_prices=10**4)
-    u = uniformization_rate(spec)
     h = policy_iteration(make_spec([0.0, 0.3], capacity=10**4, n_prices=200)).h
     tracemalloc.start()
     try:
-        _greedy(spec, h, u)
+        _greedy(spec, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -64,6 +64,14 @@ def test_config_refuses_a_bad_seed_horizon_or_warmup(field, value, needle):
     assert str(exc.value) == needle
 
 
+def test_simulate_refuses_a_horizon_past_the_transition_cap():
+    spec = make_spec([0.0, 0.3], 100)
+    cfg = SimConfig(spec, policy_iteration(spec).policy, horizon=1e9, seed=1)
+    with pytest.raises(ValueError, match=r"^horizon 1e\+09 times the largest total rate 24 allows "
+                                         r"2\.4e\+10 expected transitions, over the limit 1e\+09$"):
+        simulate_policy(cfg)
+
+
 def test_config_takes_numpy_reals_and_a_zero_seed():
     cfg = SimConfig(K1_SPEC, K1_POLICY, horizon=np.float64(100.0), seed=0, warmup=np.int64(3))
     assert cfg.warmup == 3 and simulate_policy(cfg).transitions > 0

@@ -149,6 +149,16 @@ def test_improvements_positive_whenever_discounted():
     assert tested > 20
 
 
+def test_report_refuses_a_profit_below_the_assured_gain():
+    # at LINX, p* undercuts p_bar with r <= r_bar and room at p_bar, so the spot profit must
+    # beat the regular one; a tenth of it marks the solution as not optimal
+    scen = calibrate(ixp_input("linx", kind="iso"))
+    sol = optimize_price(scen.demand, scen.uncertainty, scen.market)
+    cut = dataclasses.replace(sol, expected_profit=sol.expected_profit / 10)
+    with pytest.raises(RuntimeError, match="the solved price is not the optimum"):
+        welfare_report(scen.demand, scen.uncertainty, scen.market, cut)
+
+
 def test_report_requires_regular_market():
     d = IsoElasticDemand(400.0, 2.5)
     u = UncertaintyModel(0.0, 5.0)
