@@ -256,7 +256,7 @@ def cmd_sweep(scn: Scenario, param: str, values=None):
     summary = {}
     for beta in sorted({r["beta"] for r in rows}):
         prices = [r["p_star"] for r in rows if r.get("p_star") is not None and r["beta"] == beta]
-        summary[f"p_star_nondecreasing_beta_{beta:g}"] = bool(
+        summary[f"p_star_nondecreasing_beta_{beta!r}"] = bool(
             all(b >= a - 1e-9 for a, b in zip(prices, prices[1:]))
         )
     meta = {"command": "sweep", "parameter": param, "dollar_note": DOLLAR_NOTE,

@@ -2,7 +2,10 @@
 alters any byte of a report shows up.
 
 `REPORTS` lists each report as its name and the `cli.main` arguments that
-make it; each is exported once as JSON and once as CSV.  `digests` writes
+make it; each is exported once as JSON and once as CSV.  Besides the files,
+each report's warnings (category and text, in the order the two runs issue
+them) get a digest of their own, so a warning that changes, moves or goes
+missing shows up too.  `digests` writes
 the inputs the reports read into a fresh temporary directory, runs every
 report in-process from that directory with relative paths only (so no
 directory name enters a report), and hashes the files.  The manifest
@@ -24,6 +27,7 @@ import os
 import platform
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,24 @@ SCENARIO_COMMANDS = [["calibrate"], ["static"], ["worst-case"]] + [
 MODELS = {"0.3p": [0, 0.3], "0.3p2": [0, 0, 0.3], "0.3p3": [0, 0, 0, 0.3],
           "1.5p2": [0, 0, 1.5], "3p2": [0, 0, 3.0]}
 
+# scenarios whose sweeps hold error rows or issue calibration warnings
+EDGE_SCENARIOS = {
+    "linx_iso_alpha1.5.json": {"ixp": "linx", "alpha_bar": 1.5},
+    "nix_iso_theta400.json": {"ixp": "nix", "theta": 400},
+    "explicit_huge_d_bar.json": {"p_bar": 1.0, "d_bar": 1.7e308, "m_ratio": 0.01},
+}
+# (name, scenario file, sweep parameter, --values)
+EDGE_SWEEPS = [
+    # gamma <= 1 is refused by the input, 1e300 misses the linear anchor
+    ("linx-linear-gamma-edges", "linx_linear.json", "gamma", "0.5,1.05,1e300,2"),
+    # alpha = 1.5 gamma <= 2: the surplus diverges, with a warning per point
+    ("linx-iso-alpha1.5-gamma", "linx_iso_alpha1.5.json", "gamma", "1.1,1.3,1.4,2"),
+    # penalty warnings, and one point whose welfare check fails
+    ("hkix-linear-m_ratio-edges", "hkix_linear.json", "m_ratio", "0.01,0.3,1,1e300"),
+    ("nix-iso-theta400-beta", "nix_iso_theta400.json", "beta", "0.05,0.2,0.5,0.95"),
+    ("explicit-huge-d_bar-beta", "explicit_huge_d_bar.json", "beta", "0.2,0.5"),
+]
+
 # (name, argv); a report that reads another report comes after it
 REPORTS = (
     [(f"{ixp}-{kind}-{'-'.join(cmd[::2])}", ["--scenario", f"{ixp}_{kind}.json", *cmd])
@@ -50,6 +72,8 @@ REPORTS = (
     + [("predict", ["predict", "--trace", "trace.csv"]),
        ("trace-static", ["--scenario", "trace_scenario.json", "static"]),
        ("report-linx-iso-static", ["report", "--in", "linx-iso-static.json"])]
+    + [(name, ["--scenario", scenario, "sweep", "--param", param, "--values", values])
+       for name, scenario, param, values in EDGE_SWEEPS]
 )
 
 
@@ -82,13 +106,19 @@ def _write_inputs() -> None:
                   for model, dep in MODELS.items()})
     files["trace_scenario.json"] = {"region": "london", "trace": "trace.csv", "kind": "iso",
                                     "label": "SYNTH"}
+    files.update(EDGE_SCENARIOS)
     for name, obj in files.items():
         Path(name).write_text(json.dumps(obj))
     _write_trace("trace.csv")
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests() -> dict:
-    """File name -> SHA-256 of every report, each made by `cli.main` in a fresh directory."""
+    """File name -> SHA-256 of every report, each made by `cli.main` in a fresh directory,
+    and NAME.warnings -> SHA-256 of the warnings its two runs issue, one line each."""
     home, out = os.getcwd(), {}
     # each run prints the file it wrote
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
@@ -96,10 +126,15 @@ def digests() -> dict:
         try:
             _write_inputs()
             for name, argv in REPORTS:
+                issued = []
                 for fmt in ("json", "csv"):
-                    if cli.main(["--out", name, "--format", fmt, *argv]) != 0:
-                        raise RuntimeError(f"report {name}.{fmt} failed")
-                    out[f"{name}.{fmt}"] = hashlib.sha256(Path(f"{name}.{fmt}").read_bytes()).hexdigest()
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        if cli.main(["--out", name, "--format", fmt, *argv]) != 0:
+                            raise RuntimeError(f"report {name}.{fmt} failed")
+                    issued += [f"{w.category.__name__}: {w.message}\n" for w in caught]
+                    out[f"{name}.{fmt}"] = _sha256(Path(f"{name}.{fmt}").read_bytes())
+                out[f"{name}.warnings"] = _sha256("".join(issued).encode())
         finally:
             os.chdir(home)
     return out
@@ -110,7 +145,7 @@ def main(argv) -> int:
         print("usage: report_corpus.py --write", file=sys.stderr)
         return 2
     MANIFEST.write_text(json.dumps({**environment(), "digests": digests()}, indent=1) + "\n")
-    print(f"wrote {MANIFEST} ({2 * len(REPORTS)} digests)")
+    print(f"wrote {MANIFEST} ({3 * len(REPORTS)} digests)")
     return 0
 
 

@@ -132,6 +132,14 @@ def test_sweep_r_ratio_monotone():
         assert all(b >= a - 1e-9 for a, b in zip(ps, ps[1:]))
 
 
+def test_sweep_keys_each_beta_by_its_repr():
+    # two betas that print alike at 6 digits keep a monotonicity entry each
+    scn = load_scenario({"ixp": "linx", "kind": "iso", "beta": [0.3, 0.3000001]})
+    meta, _, _ = cmd_sweep(scn, "r_ratio", values=[0.4, 0.6])
+    assert list(meta["monotonicity"]) == ["p_star_nondecreasing_beta_0.3",
+                                          "p_star_nondecreasing_beta_0.3000001"]
+
+
 def test_sweep_gamma_improvements_nondecreasing():
     scn = load_scenario({"ixp": "linx", "kind": "iso", "beta": [0.4]})
     _, rows, _ = cmd_sweep(scn, "gamma")

@@ -1,15 +1,23 @@
-"""Fuzz the `mdp` and `simulate` commands in-process: any config file and any
---horizon/--warmup/--seed value that argparse takes must end in a report
-(exit 0) or in exactly one `error:` line (exit 2), never a traceback.
+"""Fuzz the CLI commands in-process: any config or scenario file and any
+argument value that argparse takes must end in a report (exit 0) or in
+exactly one `error:` line (exit 2), never a traceback.
 
-Valid sizes stay small (capacity <= 12, price_points <= 24, horizons up to
-50 against rates of at most a few hundred), so every example ends well
-under a second.  Rates of 1e200 and more are refused before any walk by
-the transition limit, and non-finite ones by the spec.
+For `mdp` and `simulate`, valid sizes stay small (capacity <= 12,
+price_points <= 24, horizons up to 50 against rates of at most a few
+hundred), so every example ends well under a second.  Rates of 1e200 and
+more are refused before any walk by the transition limit, and non-finite
+ones by the spec.
+
+For `calibrate`, `static`, `worst-case` and `sweep`, a scenario is a
+bundled IXP or an explicit base with up to three keys set to edge numbers,
+wrong types or lists.  The only warnings a run may issue are calibration's
+UserWarnings; any other, such as a numpy RuntimeWarning, would be a second
+line on stderr in a shell.
 """
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -97,3 +105,76 @@ def test_mdp_and_simulate_end_in_a_report_or_one_error_line(tmp_path_factory, ca
     else:
         assert err == ""
         assert json.loads((work / "r.json").read_text())["meta"]["command"] == command.split("-")[0]
+
+
+SCENARIO_NUMBERS = ["p_bar", "d_bar", "mu", "theta", "gamma", "alpha_bar", "r_ratio", "m_ratio"]
+SCENARIO_EDGES = EDGE_NUMBERS + [1.0000001, 1.05, 0.05, 0.95, 0.3000001, 1.7e308, 1e20, 1e-20,
+                                 400, 1e300]
+
+
+@st.composite
+def scenarios(draw):
+    """A bundled or explicit scenario with up to three keys set to edge numbers, wrong types
+    or lists; sometimes an unknown kind, IXP or region."""
+    kind = draw(st.sampled_from(["iso"] * 4 + ["linear"] * 4 + ["loglog", 3]))
+    if draw(st.booleans()):
+        scn = {"ixp": draw(st.sampled_from(["linx", "mskix", "nix", "nyiix", "espanix", "hkix",
+                                            "linx", "hkix", "decix"])), "kind": kind}
+    else:
+        scn = {"d_bar": draw(st.sampled_from([100.0, 1080.0, 5e3])), "kind": kind,
+               "mu": draw(st.sampled_from([0.0, -15.9, 3.9])),
+               "theta": draw(st.sampled_from([1.0, 26.0, 174.8]))}
+        scn.update(draw(st.sampled_from([{"p_bar": 7.5}, {"p_bar": 22.0}, {"region": "london"},
+                                         {"region": "hongkong"}, {"region": "mars"}])))
+    edge = st.sampled_from(SCENARIO_EDGES)
+    edge_values = st.one_of(edge, edge, edge, edge, st.floats(-10, 10), st.floats(0.01, 5), wrong,
+                            st.lists(edge, max_size=3))
+    for key in draw(st.lists(st.sampled_from(SCENARIO_NUMBERS * 2 + ["beta"] * 2 + ["label"]),
+                             max_size=3, unique=True)):
+        if key == "beta":
+            scn[key] = draw(st.one_of(edge_values, st.lists(st.floats(0.01, 0.99), min_size=1,
+                                                            max_size=4)))
+        else:
+            scn[key] = draw(edge_values)
+    return scn
+
+
+def _values_arg(draw_values) -> str:
+    return ",".join(repr(float(v)) if isinstance(v, (int, float)) else str(v)
+                    for v in draw_values)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["calibrate", "static", "worst-case", "sweep"]), scn=scenarios(),
+       param=st.sampled_from(["r_ratio", "m_ratio", "gamma", "beta"]),
+       values=st.one_of(st.none(), st.lists(st.sampled_from(SCENARIO_EDGES), min_size=1, max_size=4),
+                        st.lists(st.sampled_from(SCENARIO_EDGES + ["x", ""]), min_size=1,
+                                 max_size=4)))
+def test_scenario_commands_end_in_a_report_or_one_error_line(tmp_path_factory, capsys, command,
+                                                             scn, param, values):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "scn.json"
+    path.write_text(json.dumps(scn))
+    argv = ["--out", str(work / "r"), "--scenario", str(path), command]
+    if command == "sweep":
+        argv += ["--param", param]
+        if values is not None:
+            argv.append(f"--values={_values_arg(values)}")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    others = [w for w in caught
+              if not (w.category is UserWarning and w.filename.endswith("calibration.py"))]
+    assert not others, [f"{w.category.__name__}: {w.message} ({w.filename})" for w in others]
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not (work / "r.json").exists()
+    else:
+        assert err == ""
+        assert json.loads((work / "r.json").read_text())["meta"]["command"] == command

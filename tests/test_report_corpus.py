@@ -8,8 +8,6 @@ import pytest
 import report_corpus
 
 
-# the sweeps' calibration warnings and the trace's gap warning are part of the runs, not the bytes
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_reports_match_their_digests():
     manifest = json.loads(report_corpus.MANIFEST.read_text())
     here = report_corpus.environment()
