@@ -26,8 +26,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .demand import DemandSpec, DivergentSurplusError, demand_family
 from .pricing import MarketParams
+from .record import RAISE, Rows, columns, item, row
 from .uncertainty import UncertaintyModel
 
 
@@ -54,6 +57,25 @@ IXP_STATS = {
 PEAK_DEMAND_PROXY = 0.9  # d̄ ~= 0.9 * peak when no trace is available
 
 
+#: the numeric inputs, the fields a table's columns may set per row
+NUMERIC_FIELDS = ("p_bar", "d_bar", "beta", "gamma", "alpha_bar", "mu", "theta", "r_ratio", "m_ratio")
+
+#: the input's checks in order: the fields each reads, whether their values pass (for
+#: numbers or for columns of them), and the message, formatted with those values, of
+#: the ValueError of values that do not
+_INPUT_CHECKS = (
+    *(((name,), np.isfinite, name + " must be finite, got {}") for name in NUMERIC_FIELDS[:7]),
+    (("p_bar",), lambda x: x > 0, "p_bar must be positive, got {}"),
+    (("d_bar",), lambda x: x > 0, "d_bar must be positive, got {}"),
+    (("beta",), lambda x: (0 < x) & (x < 1), "elastic share beta must be in (0, 1), got {}"),
+    (("gamma",), lambda x: x > 1, "relative elasticity gamma must exceed 1, got {}"),
+    (("alpha_bar",), lambda x: x > 1, "aggregate elasticity must exceed 1, got {}"),
+    (("theta",), lambda x: x > 0, "error sd theta must be positive, got {}"),
+    (("r_ratio", "m_ratio"), lambda r, m: (0 < r) & (r < math.inf) & (0 < m) & (m < math.inf),
+     "cost and penalty ratios must be positive and finite, got {}, {}"),
+)
+
+
 @dataclass(frozen=True)
 class CalibrationInput:
     p_bar: float        # regular price, $/Mbps
@@ -71,24 +93,10 @@ class CalibrationInput:
 
     def __post_init__(self):
         demand_family(self.kind)
-        for name in ("p_bar", "d_bar", "beta", "gamma", "alpha_bar", "mu", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.p_bar > 0:
-            raise ValueError(f"p_bar must be positive, got {self.p_bar}")
-        if not self.d_bar > 0:
-            raise ValueError(f"d_bar must be positive, got {self.d_bar}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"elastic share beta must be in (0, 1), got {self.beta}")
-        if not self.gamma > 1:
-            raise ValueError(f"relative elasticity gamma must exceed 1, got {self.gamma}")
-        if not self.alpha_bar > 1:
-            raise ValueError(f"aggregate elasticity must exceed 1, got {self.alpha_bar}")
-        if not self.theta > 0:
-            raise ValueError(f"error sd theta must be positive, got {self.theta}")
-        if not (0 < self.r_ratio < math.inf and 0 < self.m_ratio < math.inf):
-            raise ValueError("cost and penalty ratios must be positive and finite, "
-                             f"got {self.r_ratio}, {self.m_ratio}")
+        for names, ok, text in _INPUT_CHECKS:
+            values = [getattr(self, name) for name in names]
+            if not ok(*values):
+                raise ValueError(text.format(*values))
 
 
 def _preset(table: dict, name: str, what: str):
@@ -123,6 +131,12 @@ def ixp_input(name: str, **fields) -> CalibrationInput:
     })
 
 
+def _regular_cost(p_bar, alpha_bar, rows):
+    r_bar = p_bar * (1.0 - 1.0 / alpha_bar)
+    rows.check(r_bar > 0, lambda k: ValueError("derived regular cost is non-positive"))
+    return r_bar
+
+
 def derive_regular_cost(inp: CalibrationInput) -> float:
     """Regular provision cost implied by a profit-maximizing regular price.
 
@@ -130,59 +144,129 @@ def derive_regular_cost(inp: CalibrationInput) -> float:
     is the same number for every demand family (the linear family's
     sensitivity is then chosen to be consistent with it).
     """
-    r_bar = inp.p_bar * (1.0 - 1.0 / inp.alpha_bar)
-    if not r_bar > 0:
-        raise ValueError("derived regular cost is non-positive")
-    return r_bar
+    return _regular_cost(inp.p_bar, inp.alpha_bar, RAISE)
 
 
-def _finite(what: str, **values) -> None:
+def _finite(rows, what: str, **values) -> None:
     """Refuse a calibrated quantity that overflowed to a non-finite float."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise CalibrationError(
-                f"calibrated {what} {name} overflows to {value}; "
-                "the scenario's demand scale is too large to price"
-            )
+        rows.check(np.isfinite(value), lambda k: CalibrationError(
+            f"calibrated {what} {name} overflows to {item(value, k)}; "
+            "the scenario's demand scale is too large to price"))
 
 
-def _finite_curve(what: str, curve: DemandSpec) -> DemandSpec:
-    _finite(what, **{k: v for k, v in curve.to_dict().items() if k != "kind"})
-    return curve
+class _Steps:
+    """Calibration over the columns of a table, a method per step in the order
+    ``calibrate`` takes them.  Each gives a failing row its first error in ``rows``
+    and notes the warnings a row earns while it has none; ``warn`` issues them."""
+
+    def __init__(self, inp: CalibrationInput, overrides: dict):
+        n = len(next(iter(overrides.values()))) if overrides else 1
+        if overrides.keys() - set(NUMERIC_FIELDS) or any(len(v) != n for v in overrides.values()):
+            raise ValueError("a table sets numeric fields only, one value per row")
+        self.rows, self.notes = Rows(n), [[] for _ in range(n)]
+        self.family = demand_family(inp.kind)
+        given = {name: np.array(values, dtype=float) for name, values in overrides.items()}
+        for names, ok, text in _INPUT_CHECKS:
+            if not overrides.keys().isdisjoint(names):
+                self.rows.check(ok(*(given.get(x, getattr(inp, x)) for x in names)),
+                                lambda k: ValueError(text.format(*(
+                                    overrides[x][k] if x in overrides else getattr(inp, x)
+                                    for x in names))))
+        # a row that fails a check takes the input's own values, which passed
+        clean = self.rows.clean()
+        self.f = {name: np.where(clean, given[name], getattr(inp, name)) if name in given
+                  else np.full(n, float(getattr(inp, name))) for name in NUMERIC_FIELDS}
+
+    def _note(self, flagged, text) -> None:
+        for k in np.flatnonzero(flagged).tolist():
+            if self.rows.errors[k] is None:
+                self.notes[k].append(text(k))
+
+    def regular_cost(self) -> np.ndarray:
+        return _regular_cost(self.f["p_bar"], self.f["alpha_bar"], self.rows)
+
+    def _curve(self, what: str, r_bar, share, relative) -> DemandSpec:
+        f = self.f
+        curve = self.family.calibrated(f["p_bar"], f["d_bar"], f["alpha_bar"], r_bar, share,
+                                       relative, self.rows)
+        _finite(self.rows, what, **{k: v for k, v in curve.to_dict().items() if k != "kind"})
+        return curve
+
+    def spot_demand(self, r_bar) -> tuple:
+        """The curve, its surplus at p̄, and the rows where that diverges (which warn)."""
+        spot = self._curve("spot demand", r_bar, self.f["beta"], self.f["gamma"])
+        surplus = Rows(len(self.rows))
+        s_bar = spot.consumer_surplus(self.f["p_bar"], surplus)
+        diverges = np.array([isinstance(exc, DivergentSurplusError) for exc in surplus.errors])
+        if any(surplus.errors):
+            self._note(diverges, lambda k: f"{surplus.errors[k]}; the curve calibrates, but "
+                                           "every priced row reports its surplus and is refused")
+            self.rows.check(diverges | surplus.clean(), lambda k: surplus.errors[k])
+        return spot, s_bar, diverges
+
+    def regular_demand(self, r_bar) -> DemandSpec:
+        return self._curve("regular demand", r_bar, 1.0, 1.0)
+
+    def capacity_and_noise(self) -> tuple:
+        f = self.f
+        capacity = (0.4 + f["beta"]) * f["d_bar"]
+        _finite(self.rows, "spot", capacity=capacity)
+        noise = columns(UncertaintyModel, self.rows, mu=f["beta"] * f["mu"],
+                        theta=f["beta"] * f["theta"], a=None, b=None)
+        self.rows.check(noise.b < capacity, lambda k: CalibrationError(
+            f"noise support reaches the capacity (b={item(noise.b, k)} >= C={item(capacity, k)}); "
+            "scenario rejected"))
+        return capacity, noise
+
+    def market(self, r_bar, spot: DemandSpec, capacity) -> tuple:
+        """The market, and whether the penalty exceeds the capacity price (which warns)."""
+        f = self.f
+        m = f["m_ratio"] * f["p_bar"]
+        # the below-capacity guarantee at the optimum needs m above the price
+        # at which spot demand fills the capacity
+        p_cap = spot.capacity_price(capacity, self.rows)
+        penalty_ok = m > p_cap
+        self._note(~penalty_ok, lambda k: (
+            f"penalty m={item(m, k)} does not exceed the capacity price {item(p_cap, k):.4g}; "
+            "expected demand may exceed capacity at the optimum"))
+        market = columns(MarketParams, self.rows, r=f["r_ratio"] * r_bar, m=m, capacity=capacity,
+                         r_bar=r_bar, p_bar=f["p_bar"])
+        return market, penalty_ok
+
+    def warn(self, stop_at_error: bool = False) -> None:
+        for notes, error in zip(self.notes, self.rows.errors):
+            for text in notes:
+                warnings.warn(text)
+            if stop_at_error and error is not None:
+                return
+
+
+@np.errstate(all="ignore")
+def _one_row(inp: CalibrationInput, step):
+    """step(steps) on a table of the one row inp: its warnings issued, its error raised."""
+    steps = _Steps(inp, {})
+    out = step(steps)
+    steps.warn()
+    if steps.rows.errors[0] is not None:
+        raise steps.rows.errors[0]
+    return out
 
 
 def derive_spot_demand(inp: CalibrationInput) -> DemandSpec:
     """Spot (elastic) demand curve: beta*d̄ at the regular price, elasticity gamma*ᾱ there."""
-    spot = _finite_curve("spot demand", demand_family(inp.kind).calibrated(
-        inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp),
-        share=inp.beta, relative=inp.gamma,
-    ))
-    try:
-        spot.consumer_surplus(inp.p_bar)
-    except DivergentSurplusError as exc:
-        warnings.warn(f"{exc}; the curve calibrates, but every priced row reports its surplus "
-                      "and is refused")
-    return spot
+    return row(_one_row(inp, lambda steps: steps.spot_demand(steps.regular_cost())[0]), 0)
 
 
 def derive_regular_demand(inp: CalibrationInput) -> DemandSpec:
     """Aggregate demand curve passing through (p̄, d̄) with elasticity ᾱ there."""
-    return _finite_curve("regular demand", demand_family(inp.kind).calibrated(
-        inp.p_bar, inp.d_bar, inp.alpha_bar, derive_regular_cost(inp), share=1.0, relative=1.0
-    ))
+    return row(_one_row(inp, lambda steps: steps.regular_demand(steps.regular_cost())), 0)
 
 
 def derive_capacity_and_noise(inp: CalibrationInput) -> tuple[float, UncertaintyModel]:
     """Spot capacity (0.4 + beta) d̄ and the beta-scaled noise model."""
-    capacity = (0.4 + inp.beta) * inp.d_bar
-    _finite("spot", capacity=capacity)
-    noise = UncertaintyModel(mu=inp.beta * inp.mu, theta=inp.beta * inp.theta)
-    if not noise.b < capacity:
-        raise CalibrationError(
-            f"noise support reaches the capacity (b={noise.b} >= C={capacity}); "
-            "scenario rejected"
-        )
-    return capacity, noise
+    capacity, noise = _one_row(inp, _Steps.capacity_and_noise)
+    return capacity.item(0), row(noise, 0)
 
 
 @dataclass(frozen=True)
@@ -195,36 +279,50 @@ class CalibratedScenario:
     penalty_assumption_ok: bool
 
 
+@dataclass(frozen=True)
+class CalibratedTable:
+    """The rows of a table as columns: its numeric ``inputs`` (name -> array) and one
+    instance each of the curves, noise and market, whose fields are arrays.  ``rows``
+    holds each row's first error; the other columns of such a row hold no meaning."""
+
+    inputs: dict
+    rows: Rows
+    demand: DemandSpec
+    uncertainty: UncertaintyModel
+    market: MarketParams
+    regular_demand: DemandSpec
+    penalty_assumption_ok: np.ndarray
+
+
+@np.errstate(all="ignore")  # a row that goes non-finite is refused by name
+def calibrate_table(inp: CalibrationInput, overrides: dict | None = None,
+                    stop_at_error: bool = False) -> CalibratedTable:
+    """Calibrate a table at once: the input ``inp`` with, per row, the values of
+    ``overrides`` (a numeric field's name -> one value per row; one row without).
+
+    Each row gets the error ``calibrate`` raises for its input and, in row order,
+    the warnings ``calibrate`` issues for it before that error: a diverging surplus,
+    then a penalty at or below the capacity price.  With ``stop_at_error``, the rows
+    after the first that fails issue none, as for a command that stops there.
+    """
+    steps = _Steps(inp, overrides or {})
+    r_bar = steps.regular_cost()
+    spot, s_bar, diverges = steps.spot_demand(r_bar)
+    regular = steps.regular_demand(r_bar)
+    # refused only now, so an overflowing curve is named first
+    _finite(steps.rows, "spot demand", consumer_surplus=np.where(diverges, 0.0, s_bar))
+    capacity, noise = steps.capacity_and_noise()
+    market, penalty_ok = steps.market(r_bar, spot, capacity)
+    steps.warn(stop_at_error)
+    return CalibratedTable(steps.f, steps.rows, spot, noise, market, regular, penalty_ok)
+
+
 def calibrate(inp: CalibrationInput) -> CalibratedScenario:
-    """Full scenario derivation under the input's demand family and cost ratios."""
-    r_bar = derive_regular_cost(inp)
-    spot = derive_spot_demand(inp)
-    regular = derive_regular_demand(inp)
-    try:  # refused only now, so an overflowing curve is named first
-        _finite("spot demand", consumer_surplus=spot.consumer_surplus(inp.p_bar))
-    except DivergentSurplusError:
-        pass  # derive_spot_demand warned of it
-    capacity, noise = derive_capacity_and_noise(inp)
-    m = inp.m_ratio * inp.p_bar
-
-    # the below-capacity guarantee at the optimum needs m above the price
-    # at which spot demand fills the capacity
-    p_cap = spot.capacity_price(capacity)
-    penalty_ok = m > p_cap
-    if not penalty_ok:
-        warnings.warn(
-            f"penalty m={m} does not exceed the capacity price {p_cap:.4g}; "
-            "expected demand may exceed capacity at the optimum"
-        )
-
-    market = MarketParams(
-        r=inp.r_ratio * r_bar, m=m, capacity=capacity, r_bar=r_bar, p_bar=inp.p_bar
-    )
-    return CalibratedScenario(
-        inp=inp,
-        demand=spot,
-        uncertainty=noise,
-        market=market,
-        regular_demand=regular,
-        penalty_assumption_ok=penalty_ok,
-    )
+    """Full scenario derivation under the input's demand family and cost ratios: a
+    table of one row."""
+    table = calibrate_table(inp)
+    if table.rows.errors[0] is not None:
+        raise table.rows.errors[0]
+    return CalibratedScenario(inp, *(row(x, 0) for x in (
+        table.demand, table.uncertainty, table.market, table.regular_demand)),
+        table.penalty_assumption_ok.item(0))

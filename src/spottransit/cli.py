@@ -9,6 +9,11 @@ alpha_bar, r_ratio and m_ratio; beta is a number or a list of numbers;
 kind and label are strings.  A key that is present must hold a valid
 value (never null), and a key not in SCENARIO_KEYS is refused by name.
 
+The scenario commands work on tables: a command's grid points are the
+scenario's calibration input plus per-field columns of overrides, and one
+call each calibrates, prices and accounts for the whole grid
+(``_solve_points``) before the report rows are built from the columns.
+
 Profit and surplus figures are in price*demand units ($/Mbps * Gbps);
 multiplying by 1000 gives $ per month under 95th-percentile billing,
 and the exported reports carry the converted columns too.
@@ -24,11 +29,12 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import itertools
 import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,31 +159,32 @@ def load_scenario(source) -> Scenario:
     return Scenario(inp=inp, betas=betas)
 
 
-def _solve_points(scn: Scenario, points) -> list:
-    """Result row, or the error, of each grid point, given as its field overrides.
+def _solve_points(scn: Scenario, overrides: dict) -> list:
+    """Result row, or the error, of each grid point, given as per-field columns of
+    overrides (a field -> one value per point).
 
-    The points are calibrated in order, all calibrated points are priced in
-    one batch solve, and each solved point gets its own welfare report.
+    The grid is one table: calibrated in one call, priced in one stacked solve and
+    accounted for in one welfare call, and its rows are built from the columns.
     """
     from . import calibration, pricing, welfare
 
-    results = []
-    for fields in points:
-        try:
-            results.append(calibration.calibrate(replace(scn.inp, **fields)))
-        except (ValueError, RuntimeError) as exc:
-            results.append(exc)
-    todo = [k for k, res in enumerate(results) if not isinstance(res, Exception)]
-    scens = [results[k] for k in todo]
-    sols = pricing.optimize_prices([(s.demand, s.uncertainty, s.market) for s in scens])
-    for k, sol in zip(todo, sols):
-        scen = results[k]
-        try:
-            results[k] = sol if isinstance(sol, Exception) else _result_row(
-                scen, sol, welfare.welfare_report(scen.demand, scen.uncertainty, scen.market, sol))
-        except (ValueError, RuntimeError) as exc:
-            results[k] = exc
-    return results
+    table = calibration.calibrate_table(scn.inp, overrides)
+    d, u, mp, rows = table.demand, table.uncertainty, table.market, table.rows
+    sol = pricing.solve_table(d, u, mp, rows)
+    rep = welfare.welfare_table(d, u, mp, sol["p_star"], sol["expected_profit"], rows)
+    ratio = sol["p_star"] / table.inputs["p_bar"]
+    return _table_rows(STATIC_COLUMNS, scn.inp, rows.errors, {
+        **table.inputs, **sol, **rep, "price_ratio": ratio, "discount_pct": 100.0 * (1.0 - ratio),
+        "penalty_assumption_ok": table.penalty_assumption_ok})
+
+
+def _table_rows(names: list, inp, errors: list, columns: dict) -> list:
+    """A dict per table row, keyed by names, of the columns and the scenario's labels;
+    a failing row is its error."""
+    labels = {"label": inp.label, "kind": inp.kind, "demand_source": inp.demand_source}
+    lists = [itertools.repeat(labels[c]) if c in labels else columns[c].tolist() for c in names]
+    return [dict(zip(names, values)) if exc is None else exc
+            for exc, values in zip(errors, zip(*lists))]
 
 
 def _all_rows(results: list) -> list:
@@ -197,20 +204,6 @@ STATIC_COLUMNS = [
 ]
 
 
-def _result_row(scen: calibration.CalibratedScenario, sol: pricing.StaticSolution,
-                rep: welfare.WelfareReport) -> dict:
-    """Flat result row of one solved grid point and its welfare report, keyed by STATIC_COLUMNS."""
-    inp = scen.inp
-    return dict(zip(STATIC_COLUMNS, (
-        inp.label, inp.kind, inp.beta, inp.gamma, inp.r_ratio, inp.m_ratio, inp.p_bar, sol.p_star,
-        sol.p_star / inp.p_bar, 100.0 * (1.0 - sol.p_star / inp.p_bar),
-        sol.overflow_probability, sol.expected_profit,
-        rep.surplus_spot, rep.surplus_regular, rep.profit_improvement_pct,
-        rep.surplus_improvement_pct, rep.profit_gain_usd, rep.surplus_gain_usd,
-        rep.welfare_spot, rep.welfare_regular, scen.penalty_assumption_ok, inp.demand_source,
-    ), strict=True))
-
-
 CALIBRATE_COLUMNS = [
     "label", "kind", "beta", "p_bar", "d_bar", "r_bar", "r", "m", "capacity", "demand_v",
     "demand_alpha", "mu_scaled", "theta_scaled", "penalty_assumption_ok", "demand_source",
@@ -220,20 +213,19 @@ CALIBRATE_COLUMNS = [
 def cmd_calibrate(scn: Scenario):
     from . import calibration
 
-    rows = []
-    for beta in scn.betas:
-        scen = calibration.calibrate(replace(scn.inp, beta=beta))
-        inp, market = scen.inp, scen.market
-        rows.append(dict(zip(CALIBRATE_COLUMNS, (
-            inp.label, inp.kind, inp.beta, inp.p_bar, inp.d_bar, market.r_bar, market.r,
-            market.m, market.capacity, scen.demand.v, scen.demand.alpha, scen.uncertainty.mu,
-            scen.uncertainty.theta, scen.penalty_assumption_ok, inp.demand_source,
-        ), strict=True)))
+    # the command stops at the first point that fails, so later points do not warn
+    table = calibration.calibrate_table(scn.inp, {"beta": scn.betas}, stop_at_error=True)
+    market, spot, noise = table.market, table.demand, table.uncertainty
+    rows = _all_rows(_table_rows(CALIBRATE_COLUMNS, scn.inp, table.rows.errors, {
+        **table.inputs, "r_bar": market.r_bar, "r": market.r, "m": market.m,
+        "capacity": market.capacity, "demand_v": spot.v, "demand_alpha": spot.alpha,
+        "mu_scaled": noise.mu, "theta_scaled": noise.theta,
+        "penalty_assumption_ok": table.penalty_assumption_ok}))
     return {"command": "calibrate", "dollar_note": DOLLAR_NOTE}, rows, CALIBRATE_COLUMNS
 
 
 def cmd_static(scn: Scenario):
-    rows = _all_rows(_solve_points(scn, [{"beta": beta} for beta in scn.betas]))
+    rows = _all_rows(_solve_points(scn, {"beta": scn.betas}))
     return {"command": "static", "dollar_note": DOLLAR_NOTE}, rows, STATIC_COLUMNS
 
 
@@ -244,21 +236,22 @@ def cmd_sweep(scn: Scenario, param: str, values=None):
     values = SWEEP_DEFAULTS[param] if values is None else list(values)
     grid = [(value, beta) for value in values
             for beta in ([value] if param == "beta" else scn.betas)]
-    results = _solve_points(scn, [{"beta": beta, param: value} for value, beta in grid])
-    rows = []
-    for (value, beta), res in zip(grid, results):
+    overrides = {"beta": [beta for _, beta in grid]}
+    overrides[param] = [value for value, _ in grid]
+    rows = _solve_points(scn, overrides)
+    for k, ((value, beta), res) in enumerate(zip(grid, rows)):
         if isinstance(res, Exception):
-            rows.append({"label": scn.inp.label, "kind": scn.inp.kind, "beta": beta,
-                         "sweep_param": param, "sweep_value": value, "error": str(res)})
+            rows[k] = {"label": scn.inp.label, "kind": scn.inp.kind, "beta": beta,
+                       "sweep_param": param, "sweep_value": value, "error": str(res)}
         else:
-            rows.append(dict(res, sweep_param=param, sweep_value=value))
+            res["sweep_param"], res["sweep_value"] = param, value
 
-    summary = {}
-    for beta in sorted({r["beta"] for r in rows}):
-        prices = [r["p_star"] for r in rows if r.get("p_star") is not None and r["beta"] == beta]
-        summary[f"p_star_nondecreasing_beta_{beta!r}"] = bool(
-            all(b >= a - 1e-9 for a, b in zip(prices, prices[1:]))
-        )
+    by_beta = {beta: [] for beta in sorted({r["beta"] for r in rows})}
+    for r in rows:
+        if r.get("p_star") is not None:
+            by_beta[r["beta"]].append(r["p_star"])
+    summary = {f"p_star_nondecreasing_beta_{beta!r}": all(b >= a - 1e-9 for a, b in zip(p, p[1:]))
+               for beta, p in by_beta.items()}
     meta = {"command": "sweep", "parameter": param, "dollar_note": DOLLAR_NOTE,
             "monotonicity": summary}
     columns = STATIC_COLUMNS + ["sweep_param", "sweep_value", "error"]
@@ -272,7 +265,8 @@ def cmd_worst_case(scn: Scenario):
     """High cost, high penalty, low elasticity; floor violations are findings."""
     from .demand import demand_family
 
-    rows = _all_rows(_solve_points(scn, [{"beta": beta, **WORST_CASE} for beta in scn.betas]))
+    rows = _all_rows(_solve_points(scn, {"beta": scn.betas, **{
+        name: [value] * len(scn.betas) for name, value in WORST_CASE.items()}}))
     findings = []
     surplus_floor = demand_family(scn.inp.kind).worst_case_surplus_floor_pct
     for row in rows:

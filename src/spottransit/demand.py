@@ -14,7 +14,12 @@ outside the domain raises ``DomainError`` instead of clamping (a
 silently clamped linear curve would corrupt the surplus integral).
 
 ``demand``, ``slope``, ``markup`` and ``elasticity`` accept scalars or
-numpy arrays; scalars in, scalars out.
+numpy arrays; scalars in, scalars out.  So do ``inverse``,
+``capacity_price`` and ``consumer_surplus``, which also take a ``rows``
+(``record.Rows``) that keeps each failing row's error instead of raising the
+first, as a table needs; they take powers with Python's float power per
+element, as the scalar formulas they replace did (numpy's ``power`` differs
+from it in the last bit on some values), and read an overflow as inf.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Protocol
 
 import numpy as np
+
+from .record import RAISE, columns, item
 
 
 class DomainError(ValueError):
@@ -42,15 +49,16 @@ class DemandSpec(Protocol):
     ``upper_bracket(r, m)`` above which the profit derivative cannot stay positive,
     the lowest price ``capacity_price(C)`` at which demand does not exceed C, the
     maximizer ``regular_price(r_bar)`` of (p - r_bar) d(p), ``consumer_surplus(p)``,
-    and ``calibrated(...)``: the curve through (p_bar, share * d_bar) with elasticity
-    relative * alpha_bar at p_bar, where p_bar is the optimal price at the regular
-    cost r_bar = p_bar (1 - 1/alpha_bar); a fit that rounding moves off that anchor
-    by more than ANCHOR_RTOL relative is refused with a ValueError.
+    and ``calibrated(...)``: over columns (arrays with one entry per row), the curves
+    through (p_bar, share * d_bar) with elasticity relative * alpha_bar at p_bar, where
+    p_bar is the optimal price at the regular cost r_bar = p_bar (1 - 1/alpha_bar), as
+    one instance whose fields are those columns; a row whose fit rounding moves off
+    that anchor by more than ANCHOR_RTOL relative gets a ValueError in ``rows``, as
+    does a row the family's field checks (``_validate``) refuse.
 
-    A family is a frozen dataclass whose fields are its numeric parameters.  The
-    batched static solve stacks many rows into one instance whose fields are arrays,
-    so ``demand``, ``slope``, ``markup`` and ``elasticity`` must also work elementwise
-    there.
+    A family is a frozen dataclass whose fields are its numeric parameters.  A table
+    of rows is one instance whose fields are arrays, so every method must also work
+    elementwise there.
     """
 
     kind: ClassVar[str]  # registry key in FAMILIES and the "kind" of to_dict()
@@ -61,15 +69,14 @@ class DemandSpec(Protocol):
     def slope(self, p): ...
     def markup(self, p): ...
     def elasticity(self, p): ...
-    def inverse(self, q: float) -> float: ...
+    def inverse(self, q: float, rows=RAISE) -> float: ...
     def upper_bracket(self, r: float, m: float) -> float: ...
-    def capacity_price(self, capacity: float) -> float: ...
+    def capacity_price(self, capacity: float, rows=RAISE) -> float: ...
     def regular_price(self, r_bar: float) -> float: ...
-    def consumer_surplus(self, p: float) -> float: ...
+    def consumer_surplus(self, p: float, rows=RAISE) -> float: ...
     def to_dict(self) -> dict: ...
     @classmethod
-    def calibrated(cls, p_bar: float, d_bar: float, alpha_bar: float, r_bar: float,
-                   share: float, relative: float) -> DemandSpec: ...
+    def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative, rows) -> DemandSpec: ...
 
 
 #: Largest relative miss of a calibrated curve's anchor d(p_bar) = share * d_bar.
@@ -83,6 +90,28 @@ def _ret(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _pow_or_inf(base: float, exp: float) -> float:
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
+
+
+def _pow(base, exp):
+    """base ** exp by Python's float power, per element of the broadcast arrays; an
+    overflow reads as inf, so calibration refuses the value by name.  Callers pass
+    bases in the formula's domain (nan elsewhere), so no element turns complex."""
+    base, exp = np.asarray(base, dtype=float), np.asarray(exp, dtype=float)
+    if base.shape != exp.shape:
+        base, exp = np.broadcast_arrays(base, exp)
+    bases, exps = base.ravel().tolist(), exp.ravel().tolist()
+    try:
+        out = [b ** e for b, e in zip(bases, exps)]
+    except OverflowError:
+        out = [_pow_or_inf(b, e) for b, e in zip(bases, exps)]
+    return np.array(out).reshape(base.shape)
+
+
 @dataclass(frozen=True)
 class IsoElasticDemand:
     """d(p) = v * p**-alpha with v > 0, alpha > 1."""
@@ -93,10 +122,13 @@ class IsoElasticDemand:
     worst_case_surplus_floor_pct: ClassVar[float] = 5.0
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"base demand v must be positive, got {self.v}")
-        if not self.alpha > 1:
-            raise ValueError(f"elasticity alpha must exceed 1, got {self.alpha}")
+        self._validate(RAISE)
+
+    def _validate(self, rows):
+        rows.check(self.v > 0, lambda k: ValueError(
+            f"base demand v must be positive, got {item(self.v, k)}"))
+        rows.check(self.alpha > 1, lambda k: ValueError(
+            f"elasticity alpha must exceed 1, got {item(self.alpha, k)}"))
 
     def _check_price(self, p):
         if (np.asarray(p) <= 0).any():
@@ -121,55 +153,47 @@ class IsoElasticDemand:
         self._check_price(p)
         return _ret(np.full_like(np.asarray(p, dtype=float), self.alpha))
 
-    def inverse(self, q: float) -> float:
+    def inverse(self, q, rows=RAISE):
         """Price at which demand equals q."""
-        if not q > 0:
-            raise DomainError(f"iso-elastic demand is positive everywhere; q must be > 0, got {q}")
-        return (self.v / q) ** (1.0 / self.alpha)
+        ok = np.asarray(q) > 0
+        rows.check(ok, lambda k: DomainError(
+            f"iso-elastic demand is positive everywhere; q must be > 0, got {item(q, k)}"))
+        return _ret(_pow(self.v / np.where(ok, q, np.nan), 1.0 / self.alpha))
 
     def upper_bracket(self, r: float, m: float) -> float:
         # stationary point even with a fully-saturated tail lies below this
         return self.alpha * (r + m) / (self.alpha - 1.0) * (1.0 + 1e-6)
 
-    def capacity_price(self, capacity: float) -> float:
-        return self.inverse(capacity)
+    def capacity_price(self, capacity, rows=RAISE):
+        return self.inverse(capacity, rows)
 
     def regular_price(self, r_bar: float) -> float:
         """r̄ / (1 - 1/alpha)."""
         return r_bar / (1.0 - 1.0 / self.alpha)
 
-    def consumer_surplus(self, p: float) -> float:
+    def consumer_surplus(self, p, rows=RAISE):
         """v p^(2-alpha) / ((alpha-1)(alpha-2)); needs alpha > 2 to converge."""
-        if self.alpha <= 2.0:
-            raise DivergentSurplusError(
-                f"surplus undefined for iso-elastic alpha={self.alpha} <= 2 "
-                "(willingness-to-pay integral diverges)"
-            )
-        if not p > 0:
-            raise DomainError(f"need p > 0, got {p}")
-        try:
-            power = p ** (2.0 - self.alpha)
-        except OverflowError:  # as inf, so calibration refuses the surplus by name
-            power = math.inf
-        return self.v * power / ((self.alpha - 1.0) * (self.alpha - 2.0))
+        rows.check(np.logical_not(self.alpha <= 2.0), lambda k: DivergentSurplusError(
+            f"surplus undefined for iso-elastic alpha={item(self.alpha, k)} <= 2 "
+            "(willingness-to-pay integral diverges)"))
+        ok = np.asarray(p) > 0
+        rows.check(ok, lambda k: DomainError(f"need p > 0, got {item(p, k)}"))
+        power = _pow(np.where(ok, p, np.nan), 2.0 - self.alpha)
+        return _ret(self.v * power / ((self.alpha - 1.0) * (self.alpha - 2.0)))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "v": self.v, "alpha": self.alpha}
 
     @classmethod
-    def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative):
+    def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative, rows):
         alpha = relative * alpha_bar
-        try:
-            scale = p_bar**alpha
-        except OverflowError:  # as inf, so calibration refuses the curve by name
-            scale = math.inf
-        v = share * d_bar * scale
-        if v == 0.0:  # refused by name here: the constructor would blame v itself
-            raise ValueError(
-                f"calibrated demand v = share * d_bar * p_bar**alpha underflows to 0.0 "
-                f"(p_bar={p_bar!r}, alpha={alpha!r}); the scenario's demand scale is too small "
-                "to price")
-        return cls(v=v, alpha=alpha)
+        v = share * d_bar * _pow(p_bar, alpha)
+        # refused by name here: the field checks would blame v itself
+        rows.check(v != 0.0, lambda k: ValueError(
+            f"calibrated demand v = share * d_bar * p_bar**alpha underflows to 0.0 "
+            f"(p_bar={item(p_bar, k)!r}, alpha={item(alpha, k)!r}); the scenario's demand "
+            "scale is too small to price"))
+        return columns(cls, rows, v=v, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -182,10 +206,13 @@ class LinearDemand:
     worst_case_surplus_floor_pct: ClassVar[float] = 60.0
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"base demand v must be positive, got {self.v}")
-        if not self.alpha > 0:
-            raise ValueError(f"sensitivity alpha must be positive, got {self.alpha}")
+        self._validate(RAISE)
+
+    def _validate(self, rows):
+        rows.check(self.v > 0, lambda k: ValueError(
+            f"base demand v must be positive, got {item(self.v, k)}"))
+        rows.check(self.alpha > 0, lambda k: ValueError(
+            f"sensitivity alpha must be positive, got {item(self.alpha, k)}"))
 
     @property
     def choke_price(self) -> float:
@@ -220,17 +247,19 @@ class LinearDemand:
             raise DomainError("elasticity undefined at zero demand (choke price)")
         return _ret(self.alpha * np.asarray(p, dtype=float) / d)
 
-    def inverse(self, q: float) -> float:
-        if not 0 < q <= self.v:
-            raise DomainError(f"linear demand only reaches quantities in (0, {self.v}], got {q}")
-        return (self.v - q) / self.alpha
+    def inverse(self, q, rows=RAISE):
+        q = np.asarray(q, dtype=float)
+        rows.check((0 < q) & (q <= self.v), lambda k: DomainError(
+            f"linear demand only reaches quantities in (0, {item(self.v, k)}], got {item(q, k)}"))
+        return _ret((self.v - q) / self.alpha)
 
     def upper_bracket(self, r: float, m: float) -> float:
         return self.choke_price
 
-    def capacity_price(self, capacity: float) -> float:
+    def capacity_price(self, capacity, rows=RAISE):
         # demand never exceeds a capacity at or above v, whatever the price
-        return 0.0 if capacity >= self.v else self.inverse(capacity)
+        above = np.asarray(capacity) >= self.v
+        return _ret(np.where(above, 0.0, self.inverse(np.where(above, self.v, capacity), rows)))
 
     def regular_price(self, r_bar: float) -> float:
         """(r̄ + v/alpha) / 2."""
@@ -240,36 +269,33 @@ class LinearDemand:
             )
         return 0.5 * (r_bar + self.choke_price)
 
-    def consumer_surplus(self, p: float) -> float:
+    def consumer_surplus(self, p, rows=RAISE):
         """alpha (v/alpha - p)^3 / 6."""
-        if p < 0 or p > self.choke_price:
-            raise DomainError(f"linear surplus defined on [0, {self.choke_price}], got {p}")
-        try:
-            cube = (self.choke_price - p) ** 3
-        except OverflowError:  # as inf, so calibration refuses the surplus by name
-            cube = math.inf
-        return self.alpha * cube / 6.0
+        choke = self.choke_price
+        rows.check(np.logical_not((np.asarray(p) < 0) | (p > choke)), lambda k: DomainError(
+            f"linear surplus defined on [0, {item(choke, k)}], got {item(p, k)}"))
+        return _ret(self.alpha * _pow(choke - p, 3.0) / 6.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "v": self.v, "alpha": self.alpha}
 
     @classmethod
-    def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative):
+    def calibrated(cls, p_bar, d_bar, alpha_bar, r_bar, share, relative, rows):
         # slope d̄/(p̄ - r̄) makes p̄ the optimal regular price at cost r̄,
         # which is elasticity alpha_bar at p̄; the share scales the slope
-        if not p_bar > r_bar:
-            raise ValueError(f"regular price {p_bar} must exceed the derived cost {r_bar}")
+        rows.check(p_bar > r_bar, lambda k: ValueError(
+            f"regular price {item(p_bar, k)} must exceed the derived cost {item(r_bar, k)}"))
         alpha = share * relative * (d_bar / (p_bar - r_bar))
         v = share * d_bar + alpha * p_bar
         # v - alpha p_bar cancels the leading digits of v: a curve whose d(p_bar) misses
         # share * d_bar is rounding noise there (an infinite v is refused by its caller)
         anchor, at_p_bar = share * d_bar, v - alpha * p_bar
-        if not abs(at_p_bar - anchor) <= ANCHOR_RTOL * anchor and math.isfinite(v):
-            raise ValueError(
-                f"calibrated linear demand gives d(p_bar) = {at_p_bar!r}, not its anchor "
-                f"{anchor!r} within {ANCHOR_RTOL:g} relative; v and alpha*p_bar cancel below "
-                "rounding at this scale")
-        return cls(v=v, alpha=alpha)
+        rows.check(np.logical_not(~(abs(at_p_bar - anchor) <= ANCHOR_RTOL * anchor)
+                                  & np.isfinite(v)), lambda k: ValueError(
+            f"calibrated linear demand gives d(p_bar) = {item(at_p_bar, k)!r}, not its anchor "
+            f"{item(anchor, k)!r} within {ANCHOR_RTOL:g} relative; v and alpha*p_bar cancel "
+            "below rounding at this scale"))
+        return columns(cls, rows, v=v, alpha=alpha)
 
 
 #: The one place a demand family's ``kind`` string is resolved.

@@ -33,10 +33,11 @@ an absolute bracket width of 1e-10, or earlier when the bracket spans
 adjacent doubles and can no longer shrink, and the price is the final
 bracket's midpoint.
 
-``optimize_prices`` solves a whole table at once, and ``optimize_price``
-is a table of one row.  Each row's bracket is checked on its own; the
-rows of one demand family are then stacked into a curve, noise model and
-market whose fields are arrays, and one ITP loop steps every bracket
+``solve_table`` solves a whole table at once: a curve, noise model and
+market whose fields are arrays, one entry per row, as calibration builds
+them.  ``optimize_prices`` gathers a list of rows into such a table per
+demand family, and ``optimize_price`` is a table of one row.  Each row's
+bracket is checked on its own, and one ITP loop steps every bracket
 together.  Every quantity of a row's step, its step count included, is
 its own, and a row stops by the rule above, by itself, while the others go
 on, so each row sees the points a lone solve would see.  The stacked g and
@@ -51,13 +52,12 @@ field (demand that overflows at the optimum).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .demand import DemandSpec
-from .record import Record
+from .record import RAISE, Record, Rows, columns, item, take
 from .uncertainty import UncertaintyModel
 
 # absolute bracket width at which the price search stops; from about 5e5 $/Mbps up
@@ -85,13 +85,16 @@ class MarketParams:
     p_bar: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"provision cost r must be positive, got {self.r}")
+        self._validate(RAISE)
+
+    def _validate(self, rows):
+        rows.check(self.r > 0, lambda k: ValueError(
+            f"provision cost r must be positive, got {item(self.r, k)}"))
         # m = 0 is allowed so the risk-free benchmark price is computable
-        if self.m < 0:
-            raise ValueError(f"overflow penalty m must be non-negative, got {self.m}")
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        rows.check(np.logical_not(self.m < 0), lambda k: ValueError(
+            f"overflow penalty m must be non-negative, got {item(self.m, k)}"))
+        rows.check(self.capacity > 0, lambda k: ValueError(
+            f"capacity must be positive, got {item(self.capacity, k)}"))
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,15 @@ class StaticSolution(Record):
     elasticity_at_opt: float
 
 
-def validate_market(d: DemandSpec, u: UncertaintyModel, mp: MarketParams):
+#: the fields of a StaticSolution, which are the columns of ``solve_table``
+SOLUTION_FIELDS = tuple(f.name for f in fields(StaticSolution))
+
+
+def validate_market(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, rows=RAISE):
     """Check the cross-cutting model assumptions (noise support below capacity)."""
-    if not u.b < mp.capacity:
-        raise ValueError(
-            f"noise support must sit below capacity (b={u.b} >= C={mp.capacity}); "
-            "positive residual capacity is a model assumption"
-        )
+    rows.check(u.b < mp.capacity, lambda k: ValueError(
+        f"noise support must sit below capacity (b={item(u.b, k)} >= C={item(mp.capacity, k)}); "
+        "positive residual capacity is a model assumption"))
 
 
 def expected_profit(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p):
@@ -146,89 +151,77 @@ def optimize_price(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> Stat
 
 
 def optimize_prices(problems) -> list:
-    """Solve a table of (d, u, mp) problems at once.
+    """Solve a list of (d, u, mp) problems at once.
 
     Returns, per problem in order, its StaticSolution or the ValueError
-    that ``optimize_price`` raises for it.  Rows of one demand family are
-    priced together; one row's error never reaches another row.
+    that ``optimize_price`` raises for it.  The rows of one demand family
+    are gathered into one table for ``solve_table``; one row's error never
+    reaches another row.
     """
     out = [None] * len(problems)
     families = {}
     for i, (d, _, _) in enumerate(problems):
         families.setdefault(type(d), []).append(i)
-    for rows in families.values():
-        _solve_rows(problems, rows, out)
+    for index in families.values():
+        rows = Rows(len(index))
+        sol = solve_table(*(columns(type(objs[0]), **{  # None reads as nan
+            f.name: np.array([getattr(o, f.name) for o in objs], dtype=float)
+            for f in fields(objs[0])}) for objs in zip(*(problems[i] for i in index))), rows)
+        for i, exc, values in zip(index, rows.errors, zip(*(sol[f].tolist() for f in sol))):
+            out[i] = exc if exc is not None else StaticSolution(*values)
     return out
 
 
-def _solve_rows(problems, rows, out):
+def solve_table(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, rows: Rows) -> dict:
+    """The SOLUTION_FIELDS columns of a table whose d, u and mp hold one row per
+    entry of their array fields.
+
+    A row that has an error in ``rows`` is not solved, and a row the solve refuses
+    gets there the ValueError ``optimize_price`` raises for it; the columns of such
+    a row hold no meaning.  When the rows together raise one, each is solved alone.
+    """
+    table = Rows(len(rows), rows.errors)
     try:
-        _solve_stacked(problems, rows, out)
+        sol = _solve(d, u, mp, table)
     except ValueError as exc:
-        # a stacked evaluation raised for some row: solve each row alone
         if len(rows) == 1:
-            out[rows[0]] = exc
+            table.errors, sol = [exc], dict.fromkeys(SOLUTION_FIELDS, np.array([np.nan]))
         else:
-            for i in rows:
-                _solve_rows(problems, [i], out)
-
-
-def _stack(problems, rows):
-    """The rows' (d, u, mp), each as one instance of its class whose fields are
-    arrays with one entry per row (None reads as nan).  The rows were checked when
-    they were built, so the stacks skip ``__init__``, whose checks take scalars."""
-    def stacked(objs):
-        out = object.__new__(type(objs[0]))
-        for f in fields(out):
-            column = np.array([getattr(o, f.name) for o in objs], dtype=float)
-            object.__setattr__(out, f.name, column)
-        return out
-
-    return tuple(stacked(objs) for objs in zip(*(problems[i] for i in rows)))
-
-
-def _bracket(d: DemandSpec, u: UncertaintyModel, mp: MarketParams) -> tuple[float, float]:
-    validate_market(d, u, mp)
-    lo = mp.r * (1.0 + 1e-6)
-    hi = d.upper_bracket(mp.r, mp.m)
-    if not lo < hi:
-        raise ValueError(
-            f"no price range above cost: r={mp.r} vs upper bracket {hi} (degenerate parameters)"
-        )
-    return lo, hi
+            alone = [Rows(1, [e]) for e in rows.errors]
+            sols = [solve_table(*(take(x, [k]) for x in (d, u, mp)), one)
+                    for k, one in enumerate(alone)]
+            table.errors = [one.errors[0] for one in alone]
+            sol = {name: np.concatenate([s[name] for s in sols]) for name in SOLUTION_FIELDS}
+    rows.errors = table.errors
+    return sol
 
 
 # a row that goes non-finite is refused by name
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve_stacked(problems, rows, out):
-    """Fill out[i] for the rows i, which share a demand family."""
-    brackets = {}
-    for i in rows:
-        try:
-            brackets[i] = _bracket(*problems[i])
-        except ValueError as exc:
-            out[i] = exc
-    if not brackets:
-        return
-    d, u, mp = _stack(problems, brackets)
-    lo, hi = np.array(list(brackets.values())).T
-    g_lo, g_hi = _markup_gap(d, u, mp, np.array([lo, hi]))  # (2, R) against (R,) fields
-    # g > 0 at the cost floor and not g >= 0 at the upper bracket: the rows the search
-    # solves; the others get an empty bracket, so they take no steps
-    solved = (g_lo > 0) & ~(g_hi >= 0)
-    a, b = _itp(lambda p: _markup_gap(d, u, mp, p), lo, np.where(solved, hi, lo), g_lo, g_hi)
-    p_star = 0.5 * (a + b)
-    for i, ok, g_top, top in zip(brackets, solved, g_hi, hi.tolist()):
-        if g_top >= 0:
-            out[i] = ValueError(f"the markup gap g is not negative at the upper bracket {top!r} "
-                                "(rounding swamps it there); degenerate parameters")
-        elif not ok:
-            out[i] = ValueError("profit is non-increasing at the cost floor; degenerate parameters")
-    solved_rows = [i for i, ok in zip(brackets, solved) if ok]
-    if solved_rows:
-        stacked = _stack(problems, solved_rows)
-        for i, sol in zip(solved_rows, _solutions(*stacked, p_star[solved])):
-            out[i] = sol
+def _solve(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, rows: Rows) -> dict:
+    validate_market(d, u, mp, rows)
+    lo = mp.r * (1.0 + 1e-6)
+    hi = d.upper_bracket(mp.r, mp.m)
+    rows.check(lo < hi, lambda k: ValueError(
+        f"no price range above cost: r={item(mp.r, k)} vs upper bracket {item(hi, k)} "
+        "(degenerate parameters)"))
+    # a row without a bracket searches at nan, where every family's curve is quiet
+    lo, top = (np.where(rows.clean(), x, np.nan) for x in (lo, hi))
+    g_lo, g_hi = _markup_gap(d, u, mp, np.array([lo, top]))  # (2, R) against (R,) fields
+    rows.check(np.logical_not(g_hi >= 0), lambda k: ValueError(
+        f"the markup gap g is not negative at the upper bracket {item(hi, k)!r} "
+        "(rounding swamps it there); degenerate parameters"))
+    rows.check(g_lo > 0, lambda k: ValueError(
+        "profit is non-increasing at the cost floor; degenerate parameters"))
+    # the rows the search solves; the others get an empty bracket, so they take no steps
+    solved = rows.clean()
+    a, b = _itp(lambda p: _markup_gap(d, u, mp, p), lo, np.where(solved, top, lo), g_lo, g_hi)
+    p_star = np.where(solved, 0.5 * (a + b), np.nan)
+    sol = _solutions(d, u, mp, p_star)
+    finite = np.logical_and.reduce([np.isfinite(column) for column in sol.values()])
+    rows.check(finite | ~solved, lambda k: ValueError(
+        f"the solution at p*={item(p_star, k)!r} has a non-finite field; degenerate parameters"))
+    return sol
 
 
 def _itp(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray):
@@ -271,16 +264,13 @@ def _itp(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray):
         budget *= 0.5
 
 
-def _solutions(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: np.ndarray) -> list:
-    """StaticSolution of each stacked row at its optimal price p, or the ValueError of a
-    row with a non-finite field."""
+def _solutions(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p: np.ndarray) -> dict:
+    """The SOLUTION_FIELDS columns of the table's rows at their optimal prices p."""
     dem = d.demand(p)
     phi = (p - mp.r) * dem
     lam = mp.m * u.partial_overshoot(mp.capacity - dem)
-    columns = (p, phi - lam, phi, lam, u.tail_probability(mp.capacity - dem), d.elasticity(p))
-    return [StaticSolution(*row) if all(map(math.isfinite, row)) else ValueError(
-                f"the solution at p*={row[0]!r} has a non-finite field; degenerate parameters")
-            for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return dict(zip(SOLUTION_FIELDS, (p, phi - lam, phi, lam, u.tail_probability(mp.capacity - dem),
+                                      d.elasticity(p))))
 
 
 def regular_price(d_bar: DemandSpec, r_bar: float) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .record import Record
+from .record import RAISE, Record, item
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)  # times, not over sqrt(2): within 21 ulps of scipy's ndtr on [-8, 8]
@@ -64,18 +64,23 @@ class UncertaintyModel(Record):
     b: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        self._validate(RAISE)
+
+    def _validate(self, rows):
+        """Check theta, fill in the default support and check it, for one row or a table
+        (``record.columns``) of them."""
+        rows.check(self.theta > 0, lambda k: ValueError(
+            f"theta must be positive, got {item(self.theta, k)}"))
         if self.a is None:
             object.__setattr__(self, "a", self.mu - 3.0 * self.theta)
         if self.b is None:
             object.__setattr__(self, "b", self.mu + 3.0 * self.theta)
-        if not self.a < self.b:
-            raise ValueError(f"support must satisfy a < b, got [{self.a}, {self.b}]")
+        rows.check(self.a < self.b, lambda k: ValueError(
+            f"support must satisfy a < b, got [{item(self.a, k)}, {item(self.b, k)}]"))
 
     # z-scores of the support edges, the cdf at b and the contained Gaussian mass: fixed
     # per model, so computed once (cached_property writes the instance __dict__ directly,
-    # which a frozen dataclass and pricing's stacked instances both allow)
+    # which a frozen dataclass and a table's instance both allow)
     @cached_property
     def _za(self) -> float:
         return (self.a - self.mu) / self.theta

@@ -16,21 +16,22 @@ also in dollars.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .demand import DemandSpec, DivergentSurplusError  # noqa: F401  (re-exported)
 from .pricing import MarketParams, StaticSolution, expected_profit
-from .record import Record
+from .record import RAISE, Record, Rows, item
 from .uncertainty import UncertaintyModel
 
 #: dollars per month per price*demand unit ($/Mbps * Gbps) under 95th-percentile billing
 USD_PER_UNIT = 1000.0
 
 
-def _pct_change(new: float, old: float) -> float:
+def _pct_change(new, old):
     """100 (new - old) / old, and nan where old underflowed to 0."""
-    return 100.0 * (new - old) / old if old else math.nan
+    return np.where(old != 0, 100.0 * (new - old) / old, np.nan)
 
 
 def consumer_surplus(d: DemandSpec, p: float) -> float:
@@ -64,6 +65,10 @@ class WelfareReport(Record):
     surplus_gain_usd: float
 
 
+#: the fields of a WelfareReport, which are the columns of ``welfare_table``
+REPORT_FIELDS = tuple(f.name for f in fields(WelfareReport))
+
+
 def welfare_report(
     d: DemandSpec, u: UncertaintyModel, mp: MarketParams, sol: StaticSolution
 ) -> WelfareReport:
@@ -78,38 +83,39 @@ def welfare_report(
 
     A field that is not finite (a figure that overflows, or a percentage of
     a base that underflows to 0) is refused by name with a ValueError,
-    before the optimality check, which it would void.
+    before the optimality check, which it would void.  This is a table of
+    one row of ``welfare_table``.
     """
     if mp.r_bar is None or mp.p_bar is None:
         raise ValueError("welfare report needs both r_bar and p_bar")
-    s_spot = consumer_surplus(d, sol.p_star)
-    s_reg = consumer_surplus(d, mp.p_bar)
-    pi_spot = sol.expected_profit
-    pi_reg = baseline_profit(d, mp.p_bar, mp.r_bar)
-    rep = WelfareReport(
-        surplus_spot=s_spot,
-        surplus_regular=s_reg,
-        profit_spot=pi_spot,
-        profit_regular=pi_reg,
-        welfare_spot=s_spot + pi_spot,
-        welfare_regular=s_reg + pi_reg,
-        profit_improvement_pct=_pct_change(pi_spot, pi_reg),
-        surplus_improvement_pct=_pct_change(s_spot, s_reg),
-        profit_gain_abs=pi_spot - pi_reg,
-        surplus_gain_abs=s_spot - s_reg,
-        profit_gain_usd=(pi_spot - pi_reg) * USD_PER_UNIT,
-        surplus_gain_usd=(s_spot - s_reg) * USD_PER_UNIT,
-    )
-    for name, value in vars(rep).items():
-        if not math.isfinite(value):
-            raise ValueError(f"welfare report {name} is {value}; "
-                             "the scenario's figures leave the float range")
-    if sol.p_star < mp.p_bar and not (
-        s_spot > s_reg
-        and (pi_spot > pi_reg or mp.r > mp.r_bar or mp.capacity - d.demand(mp.p_bar) < u.b)
-    ):
-        raise RuntimeError(
-            "spot price is below the regular price but surplus/profit did not both "
-            "improve although they must; the solved price is not the optimum"
-        )
+    rep = welfare_table(d, u, mp, np.array([sol.p_star]), np.array([sol.expected_profit]), RAISE)
+    return WelfareReport(*(item(rep[name], 0) for name in REPORT_FIELDS))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def welfare_table(d: DemandSpec, u: UncertaintyModel, mp: MarketParams, p_star: np.ndarray,
+                  pi_spot: np.ndarray, rows: Rows) -> dict:
+    """The REPORT_FIELDS columns of ``welfare_report`` for a table, whose d, u and mp
+    hold one row per entry, at the solved prices and expected profits.  A row that
+    has an error in ``rows`` is skipped, and a row the report refuses gets its error
+    there; the columns of such a row hold no meaning."""
+    # a row that failed before sits at nan, where its curve need not be defined
+    p_bar = np.where(rows.clean(), mp.p_bar, np.nan)
+    s_spot = d.consumer_surplus(p_star, rows)
+    s_reg = d.consumer_surplus(p_bar, rows)
+    pi_reg = baseline_profit(d, p_bar, mp.r_bar)
+    rep = dict(zip(REPORT_FIELDS, (
+        s_spot, s_reg, pi_spot, pi_reg, s_spot + pi_spot, s_reg + pi_reg,
+        _pct_change(pi_spot, pi_reg), _pct_change(s_spot, s_reg),
+        pi_spot - pi_reg, s_spot - s_reg, (pi_spot - pi_reg) * USD_PER_UNIT,
+        (s_spot - s_reg) * USD_PER_UNIT)))
+    for name, value in rep.items():
+        rows.check(np.isfinite(value), lambda k: ValueError(
+            f"welfare report {name} is {item(value, k)}; "
+            "the scenario's figures leave the float range"))
+    assured = (s_spot > s_reg) & (
+        (pi_spot > pi_reg) | (mp.r > mp.r_bar) | (mp.capacity - d.demand(p_bar) < u.b))
+    rows.check(np.logical_not(p_star < p_bar) | assured, lambda k: RuntimeError(
+        "spot price is below the regular price but surplus/profit did not both "
+        "improve although they must; the solved price is not the optimum"))
     return rep

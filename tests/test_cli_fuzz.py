@@ -145,11 +145,12 @@ def _values_arg(draw_values) -> str:
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow,
-                                                                   HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["calibrate", "static", "worst-case", "sweep"]), scn=scenarios(),
        param=st.sampled_from(["r_ratio", "m_ratio", "gamma", "beta"]),
-       values=st.one_of(st.none(), st.lists(st.sampled_from(SCENARIO_EDGES), min_size=1, max_size=4),
+       values=st.one_of(st.none(),
+                        st.lists(st.sampled_from(SCENARIO_EDGES), min_size=1, max_size=4),
                         st.lists(st.sampled_from(SCENARIO_EDGES + ["x", ""]), min_size=1,
                                  max_size=4)))
 def test_scenario_commands_end_in_a_report_or_one_error_line(tmp_path_factory, capsys, command,

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import spottransit
 from oracles import profit_grid, profit_quadrature, random_instance
-from spottransit import cli, pricing
+from spottransit import cli, pricing, record
 from spottransit.calibration import IXP_STATS, CalibrationInput, calibrate
 from spottransit.demand import DomainError, IsoElasticDemand, LinearDemand
 from spottransit.pricing import (
     _PRICE_TOL,
+    SOLUTION_FIELDS,
     MarketParams,
     StaticSolution,
     check_price_advantage,
@@ -458,23 +459,28 @@ def assert_batch_matches_reference(problems, results=None, rising_rows=None):
 
 
 def _record_cli_batches(monkeypatch, kinds):
-    """(problems, results, g evaluations) of every batch that static, worst-case and the
-    four sweeps price for the 6 IXPs; a (2, R) evaluation of both bracket ends counts
-    twice.  calibrate runs the same grid points as static."""
+    """(problems, results, g evaluations) of every table that static, worst-case and the
+    four sweeps price for the 6 IXPs, a problem per row that reaches the solve; a (2, R)
+    evaluation of both bracket ends counts twice.  calibrate runs the same grid points
+    as static."""
     batches, evals = [], [0]
 
     def counting(d, u, mp, p, gap=pricing._markup_gap):
         evals[0] += len(p) if np.ndim(p) == 2 else 1
         return gap(d, u, mp, p)
 
-    def recording(problems, solve=pricing.optimize_prices):
+    def recording(d, u, mp, rows, solve=pricing.solve_table):
         evals[0] = 0
-        results = solve(problems)
+        clean = np.flatnonzero(rows.clean()).tolist()
+        sol = solve(d, u, mp, rows)
+        problems = [tuple(record.row(x, k) for x in (d, u, mp)) for k in clean]
+        results = [rows.errors[k] or StaticSolution(*(sol[f].item(k) for f in SOLUTION_FIELDS))
+                   for k in clean]
         batches.append((problems, results, evals[0]))
-        return results
+        return sol
 
     monkeypatch.setattr(pricing, "_markup_gap", counting)
-    monkeypatch.setattr(pricing, "optimize_prices", recording)
+    monkeypatch.setattr(pricing, "solve_table", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for kind in kinds:

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import norm_cdf, quad_overshoot, quad_tail, trunc_pdf
-from spottransit.pricing import _stack
+from spottransit.record import Rows, columns
 from spottransit.uncertainty import UncertaintyModel, _phi, ndtr, uncertainty_from_dict
+
+
+def _table(models):
+    """The models as one table instance, built as calibration builds its noise columns."""
+    rows = Rows(len(models))
+    table = columns(UncertaintyModel, rows, **{
+        name: np.array([getattr(u, name) for u in models]) for name in ("mu", "theta", "a", "b")})
+    assert rows.errors == [None] * len(models)
+    return table
 
 STD = UncertaintyModel(mu=0.0, theta=1.0)  # default support [-3, 3]
 
@@ -180,7 +189,7 @@ def test_stacked_model_gives_each_rows_tails_bit_for_bit():
     rng = np.random.default_rng(83)
     models = [UncertaintyModel(rng.uniform(-20, 20), rng.uniform(0.1, 50)) for _ in range(30)]
     models += [UncertaintyModel(1.0, 2.0, a=-3.0, b=8.0), STD]
-    (stacked,) = _stack([(u,) for u in models], range(len(models)))
+    stacked = _table(models)
     for _ in range(5):
         t = np.array([u.mu + u.theta * rng.uniform(-4.0, 4.0) for u in models])
         t[::7] = [u.b for u in models[::7]]
@@ -206,7 +215,7 @@ def test_tails_take_the_cdf_of_interior_thresholds_only(monkeypatch):
     rng = np.random.default_rng(61)
     models = [UncertaintyModel(rng.uniform(-20, 20), rng.uniform(0.1, 50)) for _ in range(40)]
     models += [UncertaintyModel(1.0, 2.0, a=-3.0, b=8.0), STD]
-    (stacked,) = _stack([(u,) for u in models], range(len(models)))
+    stacked = _table(models)
     fields = np.array([[u.mu, u.theta, u.a, u.b] for u in models]).T
     cases = [(stacked, t) for t in
              [fields[0] + fields[1] * rng.uniform(-4.5, 4.5, (3, len(models))),  # (3, R)
