@@ -44,7 +44,8 @@ on, so each row sees the points a lone solve would see.  The stacked g and
 solution fields do per element what the scalar code does with the same
 IEEE operations (numpy ``power`` works per element, and the noise model's
 normal CDF applies the stdlib ``math.erfc`` to each element), so the
-prices come out bit for bit as one row at a time.  A row keeps its own
+prices come out bit for bit as one row at a time.  A row that failed
+before the solve searches at nan and takes no steps.  A row keeps its own
 error when its bracket is empty, its g is not positive at the cost floor
 or not negative at the upper bracket, or its solution has a non-finite
 field (demand that overflows at the optimum).
