@@ -248,10 +248,10 @@ class LinearDemand:
         return _ret(self.alpha * np.asarray(p, dtype=float) / d)
 
     def inverse(self, q, rows=RAISE):
-        q = np.asarray(q, dtype=float)
-        rows.check((0 < q) & (q <= self.v), lambda k: DomainError(
+        qs = np.asarray(q, dtype=float)
+        rows.check((0 < qs) & (qs <= self.v), lambda k: DomainError(
             f"linear demand only reaches quantities in (0, {item(self.v, k)}], got {item(q, k)}"))
-        return _ret((self.v - q) / self.alpha)
+        return _ret((self.v - qs) / self.alpha)
 
     def upper_bracket(self, r: float, m: float) -> float:
         return self.choke_price
