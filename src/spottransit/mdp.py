@@ -215,7 +215,8 @@ class MdpSpec:
         edge = np.concatenate([fixed_edge, first, first + len(_WINDOW) - 1])
         step = np.concatenate([2 * side - 1, np.repeat([-1, 1], len(first))])
         p = abs(self.price_grid[-1])
-        rate_abs = [np.polynomial.polynomial.polyval(p, np.abs(c.coef)) for c in (lam, dlt)]
+        with np.errstate(over="ignore"):  # an infinite bound certifies no state by its window
+            rate_abs = [np.polynomial.polynomial.polyval(p, np.abs(c.coef)) for c in (lam, dlt)]
         degree = max(len(lam.coef), len(dlt.coef)) - 1
         return fixed, edge, step[:, None], slopes, clamped, rate_abs, degree
 
@@ -481,10 +482,12 @@ def _greedy(spec: MdpSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # q is four roundings of sums of terms bounded by `scale`, two of which hold a
     # Horner evaluation of degree d: |q - exact| <= (d + 4) eps scale, plus one
     # subnormal spacing per rounding for underflow; one more eps for slack
-    scale = n * grid[-1] + np.abs(h) + np.abs(a) * rate_abs[0] + np.abs(b) * rate_abs[1]
-    err = (degree + 5) * (_EPS * scale + _TINY)
+    # an infinite rate bound times a zero gap is NaN, which certifies nothing either
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = n * grid[-1] + np.abs(h) + np.abs(a) * rate_abs[0] + np.abs(b) * rate_abs[1]
+        err = (degree + 5) * (_EPS * scale + _TINY)
     beyond = cand[edge, :K] + step
-    near = q[edge, :K] >= best[:K] - 2 * err[:K]
+    near = ~(q[edge, :K] < best[:K] - 2 * err[:K])
     cols, states = np.nonzero(near & (beyond >= 0) & (beyond < G))
     if len(states):  # certified after all if the price beyond the edge was evaluated
         seen = (cand[:, states] == beyond[cols, states]).any(axis=0)
