@@ -22,6 +22,10 @@ Each command imports only the modules it runs, when it runs: calibrate
 loads calibration and pricing, the other scenario commands welfare too
 (and traffic for a scenario that names a trace), predict loads traffic,
 mdp loads mdp, simulate loads mdp and simulate, and report loads none.
+This module itself needs only the standard library, so importing it,
+``--help``, argparse's refusals, ``report`` and the refusal of a bad
+scenario file all run without numpy; the computational commands load it
+through the modules they import.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 DOLLAR_NOTE = "dollars = price($/Mbps) * demand(Gbps) * 1000, monthly 95th-percentile billing"
 
@@ -124,9 +126,11 @@ def _sweep_values(text: str) -> list:
 
 
 def load_scenario(source) -> Scenario:
-    """Accept a path to a scenario JSON file or an already-parsed dict."""
-    from . import calibration
+    """Accept a path to a scenario JSON file or an already-parsed dict.
 
+    The file and every key's value are checked before calibration, and so
+    numpy, is imported.
+    """
     obj = source
     if not isinstance(obj, dict):
         with open(source) as fh:
@@ -140,6 +144,8 @@ def load_scenario(source) -> Scenario:
     fields = {key: SCENARIO_KEYS[key](key, value) for key, value in obj.items()}
     ixp = fields.pop("ixp", None)
     betas = fields.pop("beta", DEFAULT_BETAS[:])
+    from . import calibration  # only now: the checks above run on the standard library
+
     if "region" in fields:  # an explicit p_bar wins over the region's price
         fields.setdefault("p_bar", calibration.region_price(fields.pop("region")))
     if ixp is None and "p_bar" not in fields:
@@ -379,8 +385,13 @@ def _fmt(value) -> str:
 
 
 def _plain(obj):
-    """JSON stand-in for what json cannot encode: numpy scalars as Python numbers, else str."""
-    return obj.item() if isinstance(obj, np.generic) else str(obj)
+    """JSON stand-in for what json cannot encode: numpy scalars as Python numbers, else str.
+
+    numpy is read from ``sys.modules``: a value cannot be a numpy scalar unless numpy is
+    loaded, so a command that never loads it (``report``) encodes without it.
+    """
+    np = sys.modules.get("numpy")
+    return obj.item() if np is not None and isinstance(obj, np.generic) else str(obj)
 
 
 def _indented(obj) -> str:
@@ -408,7 +419,8 @@ def export_report(meta: dict, rows: list, columns: list, fmt: str, path):
                 sep = ",\n    "
             fh.write(("\n  ]" if rows else "]") + ',\n  "columns": ' + _indented(columns) + "\n}\n")
     elif fmt == "csv":
-        with open(path, "w") as fh:
+        # UTF-8 whatever the locale; a lone surrogate, which JSON text can hold, is escaped
+        with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
             for key, value in meta.items():
                 fh.write(f"# {key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}\n")
             fh.write(",".join(columns) + "\n")
@@ -419,9 +431,13 @@ def export_report(meta: dict, rows: list, columns: list, fmt: str, path):
 
 
 def _saved_report(saved, path) -> tuple:
-    """(meta, rows, columns) of a parsed JSON report; anything else is refused."""
+    """(meta, rows, columns) of a parsed JSON report; anything else is refused.
+
+    Missing or empty columns are the first row's keys; columns that are present
+    must be a list of names (null is not one).
+    """
     get = saved.get if isinstance(saved, dict) else {}.get
-    meta, rows, columns = get("meta"), get("rows"), get("columns") or []
+    meta, rows, columns = get("meta"), get("rows"), get("columns", [])
     if not (isinstance(meta, dict) and isinstance(rows, list) and isinstance(columns, list)
             and all(isinstance(row, dict) for row in rows)
             and all(isinstance(c, str) for c in columns)):

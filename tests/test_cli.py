@@ -381,6 +381,7 @@ def test_main_rejects_an_mdp_config_that_is_not_an_object(tmp_path, capsys, comm
     [],
     {"meta": {}, "rows": [1]},
     {"meta": {}, "rows": [], "columns": 5},
+    {"meta": {}, "rows": [], "columns": None},  # present columns are a list, never null
 ])
 def test_main_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, saved):
     path = tmp_path / "saved.json"
@@ -388,6 +389,15 @@ def test_main_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, saved
     argv = ["--out", str(tmp_path / "r"), "--format", "csv", "report", "--in", str(path)]
     assert "is not a JSON report" in _run_error(argv, capsys)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_report_writes_csv_as_utf8_with_lone_surrogates_escaped(tmp_path, capsys):
+    # JSON text can hold a lone surrogate, which no UTF-8 file can
+    path = tmp_path / "saved.json"
+    path.write_text(r'{"meta": {"label": "x\ud800"}, "rows": [{"name": "Z\u00fcrich \udc80"}]}')
+    assert main(["--out", str(tmp_path / "r"), "--format", "csv", "report", "--in", str(path)]) == 0
+    assert (tmp_path / "r.csv").read_bytes().decode("utf-8") == (
+        "# label: x\\ud800\nname\nZ\u00fcrich \\udc80\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the row's own check refuses it, silently
@@ -837,32 +847,41 @@ print({SCIPY_LOADED})
     assert json.loads((tmp_path / "s.json").read_text())["meta"]["passed"] is True
 
 
-STATIC_MODULES = {"calibration", "demand", "pricing", "record", "uncertainty", "welfare"}
+STATIC_MODULES = {"calibration", "demand", "pricing", "record", "uncertainty", "welfare", "numpy"}
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    pytest.param(None, set(), id="import"),
-    pytest.param(["--help"], set(), id="help"),
-    pytest.param(["report", "--in", "saved.json"], set(), id="report"),
-    pytest.param(["calibrate"], STATIC_MODULES - {"welfare"}, id="calibrate"),
-    pytest.param(["static"], STATIC_MODULES, id="static"),
-    pytest.param(["sweep", "--param", "gamma"], STATIC_MODULES, id="sweep"),
-    pytest.param(["worst-case"], STATIC_MODULES, id="worst-case"),
+# "numpy" in a set marks a run that loads numpy; the front (argparse, report export and
+# the scenario file checks) runs on the standard library alone
+@pytest.mark.parametrize("argv,loaded,rc", [
+    pytest.param(None, set(), 0, id="import"),
+    pytest.param(["--help"], set(), 0, id="help"),
+    pytest.param(["report", "--in", "saved.json"], set(), 0, id="report"),
+    pytest.param(["--scenario", "bad.json", "static"], set(), 2, id="bad-key"),
+    pytest.param(["--scenario", "typed.json", "static"], set(), 2, id="bad-type"),
+    pytest.param(["--scenario", "text.json", "static"], set(), 2, id="not-json"),
+    pytest.param(["--scenario", "missing.json", "static"], set(), 2, id="missing"),
+    pytest.param(["calibrate"], STATIC_MODULES - {"welfare"}, 0, id="calibrate"),
+    pytest.param(["static"], STATIC_MODULES, 0, id="static"),
+    pytest.param(["sweep", "--param", "gamma"], STATIC_MODULES, 0, id="sweep"),
+    pytest.param(["worst-case"], STATIC_MODULES, 0, id="worst-case"),
     pytest.param(["--scenario", "traced.json", "static"], STATIC_MODULES | {"traffic", "statistics"},
-                 id="static-on-a-trace"),
-    pytest.param(["predict", "--trace", "trace.csv"], {"record", "traffic", "statistics"},
-                 id="predict"),
-    pytest.param(["mdp", "--config", "mdp.json"], {"mdp"}, id="mdp"),
+                 0, id="static-on-a-trace"),
+    pytest.param(["predict", "--trace", "trace.csv"], {"record", "traffic", "statistics", "numpy"},
+                 0, id="predict"),
+    pytest.param(["mdp", "--config", "mdp.json"], {"mdp", "numpy"}, 0, id="mdp"),
     pytest.param(["simulate", "--config", "mdp.json", "--horizon", "5000", "--seed", "42"],
-                 {"mdp", "record", "simulate"}, id="simulate"),
+                 {"mdp", "record", "simulate", "numpy"}, 0, id="simulate"),
 ])
-def test_import_and_each_command_load_only_their_modules(tmp_path, argv, loaded):
+def test_import_and_each_command_load_only_their_modules(tmp_path, argv, loaded, rc):
     (tmp_path / "scn.json").write_text(json.dumps(LINX_SCENARIO))
     (tmp_path / "traced.json").write_text(json.dumps({"region": "london",
                                                       "trace": _noisy_trace(tmp_path)}))
+    (tmp_path / "bad.json").write_text(json.dumps({"ixp": "linx", "gama": 1.5}))
+    (tmp_path / "typed.json").write_text(json.dumps({"ixp": "linx", "gamma": "1.5"}))
+    (tmp_path / "text.json").write_text("ixp: linx")
     (tmp_path / "saved.json").write_text(json.dumps({"meta": {}, "rows": [{"a": 1}]}))
     _mdp_config(tmp_path)
-    # argparse keeps the last --scenario, so the traced run replaces the default scenario
+    # argparse keeps the last --scenario, so a run that names one replaces the default
     full_argv = None if argv is None else ["--out", "r", "--scenario", "scn.json", *argv]
     run = _run_python(["-c", f"""
 import contextlib, io, sys
@@ -870,14 +889,26 @@ import spottransit, spottransit.cli
 if {full_argv!r} is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            assert spottransit.cli.main({full_argv!r}) == 0
+            assert spottransit.cli.main({full_argv!r}) == {rc}
         except SystemExit as exc:  # --help
             assert exc.code == 0
 print(sorted(m.split(".", 1)[-1] for m in sys.modules
-             if m.startswith("spottransit.") or m == "statistics"))
+             if m.startswith("spottransit.") or m in ("statistics", "numpy")))
 """], tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == str(sorted({"cli"} | loaded))
+    if rc == 2:  # a refused scenario file is one line, whatever is wrong with it
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+
+def test_shell_help_starts_without_numpy(tmp_path):
+    run = _run_python(["-X", "importtime", "-m", "spottransit.cli", "--help"], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: spottransit ")
+    # the import-time list, one module a line; the package is imported, cli runs as __main__
+    modules = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    assert "spottransit" in modules and "argparse" in modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
 def test_package_and_cli_names_resolve_on_first_access():

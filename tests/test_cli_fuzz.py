@@ -179,3 +179,71 @@ def test_scenario_commands_end_in_a_report_or_one_error_line(tmp_path_factory, c
     else:
         assert err == ""
         assert json.loads((work / "r.json").read_text())["meta"]["command"] == command
+
+
+# any JSON value: NaN and the infinities are written as the NaN/Infinity constants json
+# reads back, and text may hold any code point, lone surrogates included
+texts = st.one_of(st.text(st.characters(), max_size=8), st.sampled_from(["\ud800", "a,\nb"]))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), texts)
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(texts, inner, max_size=3)), max_leaves=8)
+objects = st.dictionaries(texts, json_values, max_size=4)
+MISSING = object()
+
+
+@st.composite
+def saved_reports(draw):
+    """A report object with its meta, rows and columns each kept, dropped or mistyped, or
+    any other JSON value."""
+    report = {
+        "meta": draw(st.one_of(objects, objects, st.just(MISSING), json_values)),
+        "rows": draw(st.one_of(st.lists(objects, max_size=4), st.lists(objects, max_size=4),
+                               st.lists(st.one_of(objects, json_values), min_size=1, max_size=3),
+                               st.just(MISSING), json_values)),
+        "columns": draw(st.one_of(st.just(MISSING), st.lists(texts, max_size=4),
+                                  st.lists(json_values, min_size=1, max_size=3), json_values)),
+    }
+    report = {key: value for key, value in report.items() if value is not MISSING}
+    report.update(draw(st.dictionaries(st.sampled_from(["extra", "Meta", ""]), json_values,
+                                       max_size=1)))
+    return draw(st.one_of(st.just(report), st.just(report), st.just(report), json_values))
+
+
+def _is_report(saved) -> bool:
+    """A report holds a meta object and a list of row objects, and its columns, if given,
+    are a list of names."""
+    return (isinstance(saved, dict) and isinstance(saved.get("meta"), dict)
+            and isinstance(saved.get("rows"), list)
+            and all(isinstance(row, dict) for row in saved["rows"])
+            and isinstance(saved.get("columns", []), list)
+            and all(isinstance(name, str) for name in saved.get("columns", [])))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(saved=saved_reports(), fmt=st.sampled_from(["json", "csv"]))
+def test_report_re_exports_a_report_or_ends_in_one_error_line(tmp_path_factory, capsys, saved,
+                                                               fmt):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "saved.json"
+    path.write_text(json.dumps(saved))
+    capsys.readouterr()
+    rc = main(["--out", str(work / "r"), "--format", fmt, "report", "--in", str(path)])
+    err = capsys.readouterr().err
+    out = work / f"r.{fmt}"
+    if not _is_report(saved):
+        lines = err.splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not out.exists()
+        return
+    assert rc == 0 and err == ""
+    rows = saved["rows"]
+    columns = saved.get("columns") or (list(rows[0]) if rows else [])
+    if fmt == "json":  # the report reads back as written: compare the texts, since NaN != NaN
+        again = json.loads(out.read_text())
+        assert list(again) == ["meta", "rows", "columns"]
+        assert json.dumps(again) == json.dumps({"meta": saved["meta"], "rows": rows,
+                                                "columns": columns})
+    else:  # CSV does not quote, so only its encoding is checked
+        assert out.read_bytes().decode("utf-8").endswith("\n")

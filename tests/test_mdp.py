@@ -378,14 +378,34 @@ def test_solvers_raise_instead_of_returning_unconverged():
         relative_value_iteration(spec, max_iter=5)
 
 
-def test_policy_iteration_refuses_a_residual_above_tolerance():
+def test_policy_iteration_accepts_a_residual_within_the_rounding_floor(monkeypatch):
     # a stiff departure 0.3p + p^2 + 1e6 p^3: the stable policy's h reaches 1.3e8, so its
-    # Bellman residual 1.49e-8 passes tol 1e-6 but not 1e-9
+    # Bellman residual 1.49e-8 (one ulp of max|h|) is above tol 1e-9 but within the floor
     spec = MdpSpec.from_config({"capacity": 50, "arrival": [24, 0, -1.5],
                                 "departure": [0, 0.3, 1, 1e6], "p_max": 4})
-    with pytest.raises(RuntimeError, match="Bellman residual 1.490e-08 above tolerance"):
+    sol = policy_iteration(spec, tol=1e-9)
+    loose = policy_iteration(spec, tol=1e-6)
+    assert sol.iterations == loose.iterations == 14 and sol.j_star == loose.j_star
+    np.testing.assert_array_equal(sol.policy.prices, loose.policy.prices)
+    residual = float(np.max(np.abs(sol.j_star + sol.h - mdp._greedy(spec, sol.h)[1])))
+    max_h = float(np.max(np.abs(sol.h)))
+    assert residual == 1.4901161193847656e-08 and max_h == pytest.approx(1.291e8, rel=1e-3)
+    assert 1e-9 * max(1.0, sol.j_star) < residual <= mdp._FLOOR_ULPS * np.finfo(float).eps * max_h
+    # without the floor the same residual is refused, naming the bound and the floor
+    monkeypatch.setattr(mdp, "_FLOOR_ULPS", 0)
+    with pytest.raises(RuntimeError, match=r"Bellman residual 1\.490e-08 above tolerance "
+                                           r"1\.273e-09 plus rounding floor 0\.000e\+00$"):
         policy_iteration(spec, tol=1e-9)
-    assert policy_iteration(spec, tol=1e-6).iterations == 14
+
+
+@pytest.mark.filterwarnings("error")  # the rate bound overflows; no warning may escape
+def test_policy_iteration_solves_values_at_p_max_scale():
+    # h reaches p_max = 1e200 while J = 1/0.3: rounding at h's scale is the residual
+    spec = MdpSpec.from_config({"capacity": 1, "arrival": [1.0, 0.0, -4.0],
+                                "departure": [0.0, 0.3], "p_max": 1e200, "price_points": 2})
+    sol = policy_iteration(spec)
+    assert sol.j_star == pytest.approx(1 / 0.3, rel=1e-12)
+    assert sol.policy.prices.tolist() == [0.0, 1e200] and sol.h.tolist() == [-1e200, 0.0]
 
 
 @pytest.mark.filterwarnings("error")  # no numpy warning on the way to the error
